@@ -16,12 +16,10 @@ from torsionlab import (
     StarDomain,
     compute_catalog,
     identity_report,
-    make_profile,
     neumann_trace,
     solve_torsion,
 )
-
-R_MAX = {"euclidean": 50.0, "spherical": math.pi / 2, "hyperbolic": 50.0}
+from torsionlab.cli import RunConfig
 
 
 def main() -> None:
@@ -34,7 +32,7 @@ def main() -> None:
     ap.add_argument("--tol", type=float, default=1e-10)
     args = ap.parse_args()
 
-    profile = make_profile(args.geometry, R_MAX[args.geometry])
+    profile = RunConfig(geometry=args.geometry).profile()
     ball = StarDomain.ball(args.radius)
     c_exact = profile.h(args.radius)
 

@@ -10,7 +10,8 @@ every disk works and J stays at the discretization floor.
 import argparse
 import math
 
-from torsionlab import make_profile, offset_family, sweep
+from torsionlab import offset_family, sweep
+from torsionlab.cli import RunConfig
 
 
 def main() -> None:
@@ -23,8 +24,8 @@ def main() -> None:
     ap.add_argument("--ntheta", type=int, default=256)
     args = ap.parse_args()
 
-    sphere = make_profile("spherical", math.pi / 2)
-    plane = make_profile("euclidean", 50.0)
+    sphere = RunConfig(geometry="spherical").profile()
+    plane = RunConfig(geometry="euclidean").profile()
 
     sph_rows = sweep(offset_family(args.radius, args.offsets), sphere,
                      args.ns, args.ntheta)

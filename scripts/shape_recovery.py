@@ -11,9 +11,8 @@ import math
 
 import numpy as np
 
-from torsionlab import StarDomain, make_profile, optimize_shape
-
-R_MAX = {"euclidean": 50.0, "spherical": math.pi / 2, "hyperbolic": 50.0}
+from torsionlab import StarDomain, optimize_shape
+from torsionlab.cli import RunConfig
 
 
 def main() -> None:
@@ -29,7 +28,7 @@ def main() -> None:
     ap.add_argument("--ntheta", type=int, default=128)
     args = ap.parse_args()
 
-    profile = make_profile(args.geometry, R_MAX[args.geometry])
+    profile = RunConfig(geometry=args.geometry).profile()
     start = StarDomain(args.r0, (0.0, args.perturbation))
 
     trace = optimize_shape(start, args.modes, profile, args.budget,

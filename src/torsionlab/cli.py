@@ -62,7 +62,6 @@ _SCALAR_KEYS = {
     "report_tol": float,
     "out": str,
     "format": str,
-    "seed": int,
     "modes": int,
     "budget": int,
     "family": str,
@@ -89,7 +88,6 @@ class RunConfig:
     report_tol: float = 1e-2
     out: str | None = None
     format: str = "csv"
-    seed: int = 0
     modes: int = 2
     budget: int = 200
     family: str = "offset"

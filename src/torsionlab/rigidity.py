@@ -128,7 +128,7 @@ def _pack(domain: StarDomain, modes: int) -> np.ndarray:
     # Gauge: rotations of a shape are equivalent, so rotate b_1 away and
     # optimize with the first sine coefficient pinned at zero.
     if abs(b[0]) > 0.0:
-        phase = math.atan2(b[0], a[0]) if (a[0] or b[0]) else 0.0
+        phase = math.atan2(b[0], a[0])
         rotated = domain.rotated(phase)
         a[: len(rotated.cos_coeffs)] = rotated.cos_coeffs[:modes]
         b[: len(rotated.sin_coeffs)] = rotated.sin_coeffs[:modes]

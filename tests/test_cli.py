@@ -62,6 +62,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"config line 2.*frobnicate"):
             parse_config("command=solve\nfrobnicate=1")
 
+    def test_seed_is_not_a_key(self):
+        with pytest.raises(ConfigError, match=r"config line 2.*seed"):
+            parse_config("command=solve\nseed=1")
+
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="config line 1"):
             parse_config("command solve")

@@ -1,4 +1,4 @@
-"""Grid, assembly, Krylov solve and discrete calculus on star-shaped domains.
+"""Grid, assembly, sparse LU solve and discrete calculus on star-shaped domains.
 
 Error tolerances for the finite-difference checks were frozen from a
 refinement study run outside the suite; each carries a margin of at least
@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import torsionlab.discretization as discretization
 from torsionlab import (
     DiscreteField,
     SolverConvergenceError,
@@ -211,6 +212,28 @@ class TestSolve:
         assert err.iterations <= 50
         assert "residual" in str(err)
 
+    def test_refinement_steps_never_exceed_max_iter(self, monkeypatch):
+        # Factor a scaled copy 1.25 A instead of A: each refinement step
+        # then shrinks the residual only five-fold, so the cap binds.
+        exact_splu = discretization.splu
+        monkeypatch.setattr(discretization, "splu",
+                            lambda A, **kw: exact_splu(1.25 * A, **kw))
+        ball = StarDomain.ball(1.0)
+        system = assemble(EUCLID, ball, build_grid(ball, 8, 16))
+        field = solve(system, tol=1e-10)
+        assert field.residual <= 1e-10
+        assert 10 <= field.iterations <= 20
+        for k in (0, 1, 2, 5):
+            with pytest.raises(SolverConvergenceError) as info:
+                solve(system, tol=1e-10, max_iter=k)
+            assert info.value.iterations == k
+        monkeypatch.undo()
+        for k in (0, 1, 3):
+            assert solve(system, tol=1e-10, max_iter=k).iterations <= k
+            with pytest.raises(SolverConvergenceError) as info:
+                solve(system, tol=1e-30, max_iter=k)
+            assert info.value.iterations <= k
+
     def test_tolerance_validation(self):
         ball = StarDomain.ball(1.0)
         system = assemble(EUCLID, ball, build_grid(ball, 8, 16))
@@ -233,6 +256,20 @@ class TestSolve:
                 errors.append(float(np.max(np.abs(field.values - exact))))
             orders = [math.log2(errors[k] / errors[k + 1]) for k in range(2)]
             assert all(1.5 <= order <= 2.5 for order in orders), (profile.kind, orders)
+
+    def test_fine_ball_has_no_performance_cliff(self):
+        # A 256x512 spherical ball took 98 s in the former Krylov path; the
+        # direct factorization takes about 2 s.
+        R = math.pi / 4
+        errors = []
+        for ns in (128, 256):
+            field = solve_torsion(SPHERE, StarDomain.ball(R), ns, 2 * ns,
+                                  tol=1e-10, max_iter=5)
+            assert field.residual <= 1e-10
+            assert field.iterations <= 5
+            exact = SPHERE.H(field.grid.r) - SPHERE.H(R)
+            errors.append(float(np.max(np.abs(field.values - exact))))
+        assert 1.5 <= math.log2(errors[0] / errors[1]) <= 2.5
 
     def test_theta_translation_equivariance(self):
         k, nt = 12, 96
