@@ -33,7 +33,10 @@ def main() -> None:
     args = ap.parse_args()
 
     profile = RunConfig(geometry=args.geometry).profile()
-    ball = StarDomain.ball(args.radius)
+    try:
+        ball = StarDomain.ball(args.radius)
+    except ValueError as exc:
+        ap.error(str(exc))
     c_exact = profile.h(args.radius)
 
     print(f"# {args.geometry} ball R = {args.radius:.6g}, c = {c_exact:.10g}")
@@ -43,7 +46,10 @@ def main() -> None:
     previous = None
     for level in range(args.levels):
         ns = args.base_ns * 2 ** level
-        field = solve_torsion(profile, ball, ns, 2 * ns, tol=args.tol)
+        try:
+            field = solve_torsion(profile, ball, ns, 2 * ns, tol=args.tol)
+        except ValueError as exc:
+            ap.error(str(exc))
         exact = profile.H(field.grid.r) - profile.H(args.radius)
         error = float(np.max(np.abs(field.values - exact)))
         order = "" if previous is None else f"{math.log2(previous / error):.2f}"

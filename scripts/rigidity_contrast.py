@@ -27,10 +27,13 @@ def main() -> None:
     sphere = RunConfig(geometry="spherical").profile()
     plane = RunConfig(geometry="euclidean").profile()
 
-    sph_rows = sweep(offset_family(args.radius, args.offsets), sphere,
-                     args.ns, args.ntheta)
-    euc_rows = sweep(offset_family(1.0, args.offsets), plane,
-                     args.ns, args.ntheta)
+    try:
+        sph_rows = sweep(offset_family(args.radius, args.offsets), sphere,
+                         args.ns, args.ntheta)
+        euc_rows = sweep(offset_family(1.0, args.offsets), plane,
+                         args.ns, args.ntheta)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     print(f"# grid {args.ns}x{args.ntheta}, spherical R = {args.radius:.6g}, "
           f"euclidean R = 1")

@@ -28,11 +28,13 @@ def main() -> None:
     ap.add_argument("--ntheta", type=int, default=128)
     args = ap.parse_args()
 
-    profile = RunConfig(geometry=args.geometry).profile()
-    start = StarDomain(args.r0, (0.0, args.perturbation))
-
-    trace = optimize_shape(start, args.modes, profile, args.budget,
-                           args.ns, args.ntheta)
+    try:
+        profile = RunConfig(geometry=args.geometry).profile()
+        start = StarDomain(args.r0, (0.0, args.perturbation))
+        trace = optimize_shape(start, args.modes, profile, args.budget,
+                               args.ns, args.ntheta)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     print(f"{'step':>5} {'evals':>6} {'J':>12} {'r0':>10} coefficients")
     for row in trace.rows:

@@ -80,8 +80,13 @@ class RadialSolution:
         return float(self.profile.h(self.R))
 
     def _check_radius(self, r):
+        # A float passes on a plain comparison (False for nan and +-inf);
+        # everything else, and any float that fails, takes the array check.
+        if isinstance(r, float) and 0.0 <= r <= self.R:
+            return
         r = np.asarray(r)
-        if np.any(r < 0.0) or np.any(r > self.R):
+        if (not np.all(np.isfinite(r)) or np.any(r < 0.0)
+                or np.any(r > self.R)):
             raise ValueError(f"radius must lie in [0, {self.R}], got {r!r}")
 
 

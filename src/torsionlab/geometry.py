@@ -70,13 +70,23 @@ class RadialJet:
     def __post_init__(self):
         for name in ("value", "d1", "d2"):
             v = getattr(self, name)
+            if isinstance(v, float) and math.isfinite(v):
+                continue
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"RadialJet.{name} must be finite, got {v!r}")
 
 
+# The validators below accept floats (np.float64 included) on a plain
+# comparison before any numpy call: the pointwise identities and the catalog
+# integrands validate one scalar radius at a time.  Anything else, and any
+# float that fails, goes through the array checks, which raise.
+
 def _require_interior(profile: WarpingProfile, r) -> None:
     # The pole r = 0 is a coordinate singularity; reject it rather than
-    # special-case limits here.
+    # special-case limits here.  The chained comparison is False for nan
+    # and +-inf.
+    if isinstance(r, float) and 0.0 < r < profile.r_max:
+        return
     r = np.asarray(r)
     if not np.all(np.isfinite(r)):
         raise ValueError("radius must be finite")
@@ -87,6 +97,8 @@ def _require_interior(profile: WarpingProfile, r) -> None:
 
 
 def _require_dimension(n: int) -> None:
+    if type(n) is int and n >= 2:
+        return
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
 
@@ -214,7 +226,8 @@ def ricci_quadratic(profile: WarpingProfile, n: int, r, u_r, grad_tan_sq):
     """
     _require_interior(profile, r)
     _require_dimension(n)
-    if np.any(np.asarray(grad_tan_sq) < 0):
+    if (grad_tan_sq < 0 if isinstance(grad_tan_sq, float)
+            else np.any(np.asarray(grad_tan_sq) < 0)):
         raise ValueError("grad_tan_sq is a squared norm and must be >= 0")
     hh = profile.h(r)
     hd = profile.h_dot(r)
@@ -234,6 +247,10 @@ def newton_gap(n: int, eigenvalues) -> float:
     zero.
     """
     _require_dimension(n)
+    if (isinstance(eigenvalues, list) and len(eigenvalues) == n
+            and all(isinstance(v, float) and math.isfinite(v) for v in eigenvalues)
+            and max(eigenvalues) - min(eigenvalues) < 1e-14):
+        return 0.0
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.shape != (n,):
         raise ValueError(f"expected {n} eigenvalues, got shape {lam.shape}")

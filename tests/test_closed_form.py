@@ -66,6 +66,16 @@ class TestRadialSolution:
         with pytest.raises(ValueError):
             sol.u(1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_rejected(self, bad):
+        sol = radial_torsion_solution(SPHERE, 2, math.pi / 4)
+        for f in (sol.u, sol.u_r,
+                  lambda r: bochner_residual(sol, r),
+                  lambda r: pohozaev_pointwise_residual(sol, r),
+                  lambda r: newton_equality_check(sol, r)):
+            with pytest.raises(ValueError, match="radius must lie in"):
+                f(bad)
+
     def test_is_frozen_dataclass(self):
         sol = radial_torsion_solution(EUCLID, 2, 1.0)
         assert isinstance(sol, RadialSolution)
