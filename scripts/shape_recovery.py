@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from torsionlab import StarDomain, optimize_shape
+from torsionlab import NoFeasibleShapeError, StarDomain, optimize_shape
 from torsionlab.cli import RunConfig
 
 
@@ -28,13 +28,15 @@ def main() -> None:
     ap.add_argument("--ntheta", type=int, default=128)
     args = ap.parse_args()
 
+    profile = RunConfig(geometry=args.geometry).profile()
     try:
-        profile = RunConfig(geometry=args.geometry).profile()
         start = StarDomain(args.r0, (0.0, args.perturbation))
         trace = optimize_shape(start, args.modes, profile, args.budget,
                                args.ns, args.ntheta)
     except ValueError as exc:
         ap.error(str(exc))
+    except NoFeasibleShapeError as exc:
+        ap.exit(1, f"{ap.prog}: {exc}\n")
 
     print(f"{'step':>5} {'evals':>6} {'J':>12} {'r0':>10} coefficients")
     for row in trace.rows:

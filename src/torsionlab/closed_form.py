@@ -80,8 +80,6 @@ class RadialSolution:
         return float(self.profile.h(self.R))
 
     def _check_radius(self, r):
-        # A float passes on a plain comparison (False for nan and +-inf);
-        # everything else, and any float that fails, takes the array check.
         if isinstance(r, float) and 0.0 <= r <= self.R:
             return
         r = np.asarray(r)

@@ -79,12 +79,12 @@ class RadialJet:
 # The validators below accept floats (np.float64 included) on a plain
 # comparison before any numpy call: the pointwise identities and the catalog
 # integrands validate one scalar radius at a time.  Anything else, and any
-# float that fails, goes through the array checks, which raise.
+# float that fails (nan and +-inf fail every comparison), goes through the
+# array checks, which raise.
 
 def _require_interior(profile: WarpingProfile, r) -> None:
     # The pole r = 0 is a coordinate singularity; reject it rather than
-    # special-case limits here.  The chained comparison is False for nan
-    # and +-inf.
+    # special-case limits here.
     if isinstance(r, float) and 0.0 < r < profile.r_max:
         return
     r = np.asarray(r)
@@ -97,8 +97,6 @@ def _require_interior(profile: WarpingProfile, r) -> None:
 
 
 def _require_dimension(n: int) -> None:
-    if type(n) is int and n >= 2:
-        return
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
 

@@ -25,6 +25,7 @@ from .discretization import (
 from .geometry import WarpingProfile
 
 __all__ = [
+    "NoFeasibleShapeError",
     "ShapeObjective",
     "TraceRow",
     "OptimizationTrace",
@@ -36,6 +37,10 @@ __all__ = [
     "optimize_shape",
     "sweep",
 ]
+
+
+class NoFeasibleShapeError(RuntimeError):
+    """Every shape the descent evaluated was invalid or left the profile's range."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +158,8 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
     Standard reflection/expansion/contraction/shrink coefficients
     (1, 2, 1/2, 1/2).  Invalid shapes score +inf so the simplex backs away
     from them.  Exhausting the evaluation budget is an ordinary outcome:
-    the best iterate seen is returned with ``converged=False``.
+    the best iterate seen is returned with ``converged=False``.  If no
+    evaluated shape was feasible, ``NoFeasibleShapeError`` is raised.
     """
     if not (isinstance(modes, (int, np.integer)) and 1 <= modes <= 8):
         raise ValueError(f"modes must be an integer in 1..8, got {modes!r}")
@@ -241,7 +247,7 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
         record(simplex, fvals)
 
     if best["x"] is None or not math.isfinite(best["j"]):
-        raise ValueError("no feasible shape was found within the budget")
+        raise NoFeasibleShapeError("no feasible shape was found within the budget")
     return OptimizationTrace(
         rows=tuple(rows), best_domain=_unpack(best["x"], modes),
         best_j=best["j"], evaluations=evaluations, converged=converged,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from torsionlab import (
+    NoFeasibleShapeError,
     StarDomain,
     ball_family,
     make_profile,
@@ -187,6 +188,13 @@ class TestOptimizeShape:
             optimize_shape(ball, 9, SPHERE, budget=100, ns=16, ntheta=32)
         with pytest.raises(ValueError):
             optimize_shape(ball, 2, SPHERE, budget=49, ns=16, ntheta=32)
+
+    def test_infeasible_start_is_not_an_argument_error(self):
+        # Every vertex of the start simplex reaches past the equator, and the
+        # descent never leaves that region: a run outcome, not a bad value.
+        start = StarDomain(1.6, (0.0, 0.1))
+        with pytest.raises(NoFeasibleShapeError):
+            optimize_shape(start, 2, SPHERE, budget=50, ns=16, ntheta=32)
 
     def test_rotation_gauge_fixed(self):
         # A sine-led start is rotated into the cosine gauge before descent.

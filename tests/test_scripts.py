@@ -2,9 +2,10 @@
 
 Each script runs once as a subprocess at a tiny grid and must exit 0
 without a traceback.  Arguments the library rejects must end in an
-argparse usage error (exit 2), not a traceback; those cases run in-process
-through ``runpy`` because they fail before any work and a fresh interpreter
-per case would only add import time.
+argparse usage error (exit 2), not a traceback, and a descent that finds
+no feasible shape ends in exit 1 without a usage line.  Those cases run
+in-process through ``runpy`` because none of them reaches a solve and a
+fresh interpreter per case would only add import time.
 """
 
 import os
@@ -50,4 +51,17 @@ def test_rejected_argument_is_a_usage_error(script, args, message, monkeypatch,
     assert info.value.code == 2
     assert err.startswith("usage:")
     assert message in err
+    assert "Traceback" not in err
+
+
+def test_infeasible_descent_is_not_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["shape_recovery.py", "--r0", "1.6",
+                                      "--budget", "50", "--ns", "16",
+                                      "--ntheta", "32"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_path(str(SCRIPTS / "shape_recovery.py"), run_name="__main__")
+    err = capsys.readouterr().err
+    assert info.value.code == 1
+    assert "no feasible shape" in err
+    assert "usage:" not in err
     assert "Traceback" not in err
