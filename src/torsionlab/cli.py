@@ -19,12 +19,14 @@ config, 3 solver non-convergence.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
+
+import numpy as np
 
 from .closed_form import radial_torsion_solution
 from .discretization import (
@@ -230,25 +232,43 @@ def _validate(cfg: RunConfig, sources: dict) -> None:
                                       f"bound r_max = {r_max:.10g}")
 
 
+def _cell_spec(kind: type) -> str:
+    """printf spec of one CSV cell of type ``kind``.
+
+    Floats are written with 17 significant digits, which round-trip; bools
+    and numpy scalars count as floats.  ``%.0s`` consumes None and writes
+    nothing.
+    """
+    if kind is type(None):
+        return "%.0s"
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, int) and not issubclass(kind, bool):
+        return "%d"
+    return "%.17g"
+
+
 def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
-    return format(float(value), ".17g")
+    return _cell_spec(type(value)) % (value,)
 
 
-def _emit(rows: list, columns: list, cfg: RunConfig) -> None:
+def _csv_lines(rows):
+    """One CSV line per row, each from one template cached per cell types."""
+    templates = {}
+    for row in rows:
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(_cell_spec, kinds)) + "\n"
+        yield template % row
+
+
+def _emit(rows, columns: list, cfg: RunConfig) -> None:
+    """Write rows, tuples of cells in column order, as CSV or JSON."""
     if cfg.format == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(columns) + "\n")
-        for row in rows:
-            buf.write(",".join(_format_cell(row.get(c)) for c in columns) + "\n")
-        payload = buf.getvalue()
+        payload = ",".join(columns) + "\n" + "".join(_csv_lines(rows))
     else:
-        payload = json.dumps([{c: row.get(c) for c in columns} for row in rows],
+        payload = json.dumps([dict(zip(columns, row)) for row in rows],
                              indent=2, allow_nan=True) + "\n"
     if cfg.out is None:
         sys.stdout.write(payload)
@@ -263,10 +283,10 @@ def _run_radial(cfg: RunConfig) -> int:
     rows = []
     radii = [cfg.R0 * (j - 0.5) / cfg.Ns for j in range(1, cfg.Ns + 1)]
     for r in radii:
-        rows.append({"record": "sample", "name": "u", "r": r, "value": float(sol.u(r))})
-        rows.append({"record": "sample", "name": "u_r", "r": r, "value": float(sol.u_r(r))})
+        rows.append(("sample", "u", r, float(sol.u(r))))
+        rows.append(("sample", "u_r", r, float(sol.u_r(r))))
     for name, value in compute_catalog(sol).as_dict().items():
-        rows.append({"record": "catalog", "name": name, "r": None, "value": value})
+        rows.append(("catalog", name, None, value))
     _emit(rows, ["record", "name", "r", "value"], cfg)
     return 0
 
@@ -276,16 +296,14 @@ def _run_solve(cfg: RunConfig) -> int:
                            tol=cfg.tol, max_iter=cfg.max_iter)
     grid = field_.grid
     values, weights = neumann_trace(field_)
-    rows = []
-    for j in range(grid.ns):
-        for i in range(grid.ntheta):
-            rows.append({"record": "node", "j": j, "i": i,
-                         "theta": float(grid.theta[i]), "r": float(grid.r[j, i]),
-                         "value": float(field_.values[j, i]), "weight": None})
-    for i in range(grid.ntheta):
-        rows.append({"record": "neumann", "j": None, "i": i,
-                     "theta": float(grid.theta[i]), "r": float(grid.rho[i]),
-                     "value": float(values[i]), "weight": float(weights[i])})
+    ns, nt = grid.ns, grid.ntheta
+    j, i = np.divmod(np.arange(grid.size), nt)
+    theta = grid.theta.tolist()
+    rows = list(zip(repeat("node"), j.tolist(), i.tolist(), theta * ns,
+                    grid.r.ravel().tolist(), field_.values.ravel().tolist(),
+                    repeat(None)))
+    rows += zip(repeat("neumann"), repeat(None), range(nt), theta,
+                grid.rho.tolist(), values.tolist(), weights.tolist())
     _emit(rows, ["record", "j", "i", "theta", "r", "value", "weight"], cfg)
     return 0
 
@@ -294,15 +312,8 @@ def _run_verify(cfg: RunConfig) -> int:
     field_ = solve_torsion(cfg.profile(), cfg.domain(), cfg.Ns, cfg.Ntheta,
                            tol=cfg.tol, max_iter=cfg.max_iter)
     report = identity_report(compute_catalog(field_), cfg.report_tol)
-    rows = [{
-        "label": rec.label,
-        "hypothesis_class": rec.hypothesis_class,
-        "lhs": rec.lhs,
-        "rhs": rec.rhs,
-        "abs_residual": rec.abs_residual,
-        "rel_residual": rec.rel_residual,
-        "verdict": rec.verdict,
-    } for rec in report]
+    rows = [(rec.label, rec.hypothesis_class, rec.lhs, rec.rhs,
+             rec.abs_residual, rec.rel_residual, rec.verdict) for rec in report]
     _emit(rows, ["label", "hypothesis_class", "lhs", "rhs", "abs_residual",
                  "rel_residual", "verdict"], cfg)
     return 0 if report.all_applicable_pass else 1
@@ -315,17 +326,12 @@ def _run_rigidity(cfg: RunConfig) -> int:
                + [f"a{k}" for k in range(1, cfg.modes + 1)]
                + [f"b{k}" for k in range(1, cfg.modes + 1)]
                + ["status"])
-    rows = []
-    for row in trace.rows:
-        cells = {"index": row.index, "evaluations": row.evaluations,
-                 "j": row.j, "spread": row.spread, "r0": row.r0,
-                 "status": None}
-        for k in range(1, cfg.modes + 1):
-            cells[f"a{k}"] = row.cos_coeffs[k - 1] if k <= len(row.cos_coeffs) else 0.0
-            cells[f"b{k}"] = row.sin_coeffs[k - 1] if k <= len(row.sin_coeffs) else 0.0
-        rows.append(cells)
+    pad = (0.0,) * cfg.modes
+    rows = [(row.index, row.evaluations, row.j, row.spread, row.r0,
+             *(row.cos_coeffs + pad)[:cfg.modes], *(row.sin_coeffs + pad)[:cfg.modes],
+             None) for row in trace.rows]
     if rows:
-        rows[-1] = dict(rows[-1], status=trace.status)
+        rows[-1] = rows[-1][:-1] + (trace.status,)
     _emit(rows, columns, cfg)
     return 0
 
@@ -337,8 +343,7 @@ def _run_sweep(cfg: RunConfig) -> int:
     else:
         family = ball_family(cfg.family_values)
     table = sweep(family, profile, cfg.Ns, cfg.Ntheta, tol=cfg.tol)
-    rows = [{"parameter": r.parameter, "j": r.j, "c_mean": r.c_mean,
-             "c_std": r.c_std, "status": r.status} for r in table]
+    rows = [(r.parameter, r.j, r.c_mean, r.c_std, r.status) for r in table]
     _emit(rows, ["parameter", "j", "c_mean", "c_std", "status"], cfg)
     return 0
 

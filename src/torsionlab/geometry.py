@@ -114,8 +114,8 @@ def make_profile(kind: str, r_max: float) -> WarpingProfile:
         return WarpingProfile(
             kind, r_max,
             h=lambda r: np.multiply(r, 1.0),
-            h_dot=lambda r: np.ones_like(np.multiply(r, 1.0)),
-            h_ddot=lambda r: np.zeros_like(np.multiply(r, 1.0)),
+            h_dot=lambda r: np.ones_like(r, dtype=float),
+            h_ddot=lambda r: np.zeros_like(r, dtype=float),
             H=lambda r: np.multiply(r, r) / 2.0,
         )
     if kind == "spherical":

@@ -1,10 +1,14 @@
 """Config parsing, command dispatch, serialization and exit codes."""
 
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+import torsionlab.cli as cli
+from torsionlab import neumann_trace, solve_torsion
 from torsionlab.cli import ConfigError, RunConfig, main, parse_config, run
 from torsionlab.cli import _format_cell
 
@@ -32,6 +36,13 @@ a3 = 0.15
 Ns = 32
 Ntheta = 64
 """
+
+SOLVE_BALL = "command=solve\ngeometry=hyperbolic\nR0=1.5\nNs=8\nNtheta=16"
+SOLVE_FLOWER = ("command=solve\ngeometry=spherical\nR0=0.7\na2=0.1\nb1=0.05\n"
+                "Ns=8\nNtheta=16")
+RIGIDITY = ("command=rigidity\ngeometry=spherical\nR0=0.7853981633974483\n"
+            "a2=0.1\nmodes=3\nbudget=60\nNs=16\nNtheta=32")
+RADIAL = "command=radial\ngeometry=hyperbolic\nR0=2.0\nn=3\nNs=16"
 
 
 class TestParseConfig:
@@ -261,6 +272,17 @@ class TestSerialization:
             assert row["label"] == cells[0]
             assert row["lhs"] == float(cells[2])     # full precision round-trip
 
+        path = write_config(tmp_path, SOLVE_FLOWER, name="solve.cfg")
+        assert main([path]) == 0
+        csv_lines = capsys.readouterr().out.strip().split("\n")
+        assert main([path, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == len(csv_lines) - 1 == 8 * 16 + 16
+        header = csv_lines[0].split(",")
+        for row, line in zip(rows, csv_lines[1:]):
+            assert list(row.keys()) == header
+            assert [_format_cell(v) for v in row.values()] == line.split(",")
+
     def test_out_file_and_quiet_stdout(self, tmp_path, capsys):
         path = write_config(tmp_path, VERIFY_FLOWER)
         target = str(tmp_path / "report.csv")
@@ -269,6 +291,97 @@ class TestSerialization:
         assert rc == 0
         assert captured.out == ""
         assert open(target).read().startswith("label,")
+
+
+# The writer before tuple rows and cached line templates: one dict per row,
+# one formatted cell at a time.  Every command's bytes must stay the same.
+def reference_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int,)) and not isinstance(value, bool):
+        return str(value)
+    return format(float(value), ".17g")
+
+
+def reference_payload(dict_rows, columns, fmt):
+    if fmt == "csv":
+        buf = io.StringIO()
+        buf.write(",".join(columns) + "\n")
+        for row in dict_rows:
+            buf.write(",".join(reference_cell(row.get(c)) for c in columns) + "\n")
+        return buf.getvalue()
+    return json.dumps([{c: row.get(c) for c in columns} for row in dict_rows],
+                      indent=2, allow_nan=True) + "\n"
+
+
+def reference_solve_rows(cfg):
+    field_ = solve_torsion(cfg.profile(), cfg.domain(), cfg.Ns, cfg.Ntheta,
+                           tol=cfg.tol, max_iter=cfg.max_iter)
+    grid = field_.grid
+    values, weights = neumann_trace(field_)
+    rows = []
+    for j in range(grid.ns):
+        for i in range(grid.ntheta):
+            rows.append({"record": "node", "j": j, "i": i,
+                         "theta": float(grid.theta[i]), "r": float(grid.r[j, i]),
+                         "value": float(field_.values[j, i]), "weight": None})
+    for i in range(grid.ntheta):
+        rows.append({"record": "neumann", "j": None, "i": i,
+                     "theta": float(grid.theta[i]), "r": float(grid.rho[i]),
+                     "value": float(values[i]), "weight": float(weights[i])})
+    return rows
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("text", [SOLVE_BALL, SOLVE_FLOWER], ids=["ball", "star"])
+    def test_solve_matches_reference(self, tmp_path, fmt, text):
+        path = write_config(tmp_path, text)
+        out = str(tmp_path / "out")
+        assert main([path, "--format", fmt, "--out", out]) == 0
+        cfg = parse_config(text, [("format", fmt)])
+        columns = ["record", "j", "i", "theta", "r", "value", "weight"]
+        want = reference_payload(reference_solve_rows(cfg), columns, fmt)
+        assert open(out, newline="").read() == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("text", [RADIAL, VERIFY_FLOWER, RIGIDITY],
+                             ids=["radial", "verify", "rigidity"])
+    def test_commands_match_reference(self, tmp_path, monkeypatch, fmt, text):
+        emitted = []
+        emit = cli._emit
+
+        def capture(rows, columns, cfg):
+            emitted.append((list(rows), list(columns)))
+            emit(rows, columns, cfg)
+
+        monkeypatch.setattr(cli, "_emit", capture)
+        path = write_config(tmp_path, text)
+        out = str(tmp_path / "out")
+        assert main([path, "--format", fmt, "--out", out]) in (0, 1)
+        (rows, columns), = emitted
+        assert all(isinstance(row, tuple) and len(row) == len(columns) for row in rows)
+        want = reference_payload([dict(zip(columns, row)) for row in rows], columns, fmt)
+        assert open(out, newline="").read() == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_special_cells_match_reference(self, tmp_path, fmt):
+        columns = ["a", "b", "c", "d"]
+        rows = [(1, None, "ok", math.nan),
+                (-7, 0, "", math.inf),
+                (None, None, None, -math.inf),
+                (2 ** 70, "x,y", "pass", -0.0),
+                (3, None, "fail", 0.1),
+                (True, np.float64(1.0 / 3.0), np.float64(-0.0), 5e-324),
+                (4, 1.7976931348623157e308, -1e-300, math.pi)]
+        out = str(tmp_path / "out")
+        cli._emit(rows, columns, RunConfig(format=fmt, out=out))
+        want = reference_payload([dict(zip(columns, row)) for row in rows], columns, fmt)
+        assert open(out, newline="").read() == want
+        cells = [v for row in rows for v in row] + [np.int64(4), np.int64(-2)]
+        assert [_format_cell(v) for v in cells] == [reference_cell(v) for v in cells]
 
 
 class TestMainArgv:

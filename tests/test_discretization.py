@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import torsionlab.discretization as discretization
 from torsionlab import (
@@ -212,14 +213,17 @@ class TestSolve:
         assert err.iterations <= 50
         assert "residual" in str(err)
 
-    def test_refinement_steps_never_exceed_max_iter(self, monkeypatch):
+    @staticmethod
+    def _check_refinement_cap(monkeypatch, domain):
         # Factor a scaled copy 1.25 A instead of A: each refinement step
         # then shrinks the residual only five-fold, so the cap binds.
+        exact_disk = discretization._DiskFactor
         exact_splu = discretization.splu
+        monkeypatch.setattr(discretization, "_DiskFactor",
+                            lambda A, nt: exact_disk(1.25 * A, nt))
         monkeypatch.setattr(discretization, "splu",
                             lambda A, **kw: exact_splu(1.25 * A, **kw))
-        ball = StarDomain.ball(1.0)
-        system = assemble(EUCLID, ball, build_grid(ball, 8, 16))
+        system = assemble(EUCLID, domain, build_grid(domain, 8, 16))
         field = solve(system, tol=1e-10)
         assert field.residual <= 1e-10
         assert 10 <= field.iterations <= 20
@@ -233,6 +237,14 @@ class TestSolve:
             with pytest.raises(SolverConvergenceError) as info:
                 solve(system, tol=1e-30, max_iter=k)
             assert info.value.iterations <= k
+
+    def test_refinement_steps_never_exceed_max_iter(self, monkeypatch):
+        # The ball is factored by the disk factorization.
+        self._check_refinement_cap(monkeypatch, StarDomain.ball(1.0))
+
+    def test_refinement_cap_on_star_domain(self, monkeypatch):
+        # A star domain is factored by SuperLU.
+        self._check_refinement_cap(monkeypatch, StarDomain(1.0, (0.05,), (0.0, 0.1)))
 
     def test_tolerance_validation(self):
         ball = StarDomain.ball(1.0)
@@ -258,8 +270,8 @@ class TestSolve:
             assert all(1.5 <= order <= 2.5 for order in orders), (profile.kind, orders)
 
     def test_fine_ball_has_no_performance_cliff(self):
-        # A 256x512 spherical ball took 98 s in the former Krylov path; the
-        # direct factorization takes about 2 s.
+        # A 256x512 spherical ball took 98 s in the former Krylov path and
+        # about 2 s under sparse LU; the disk factorization takes about 10 ms.
         R = math.pi / 4
         errors = []
         for ns in (128, 256):
@@ -278,6 +290,64 @@ class TestSolve:
         rotated = solve_torsion(SPHERE, FLOWER.rotated(phase), 48, nt)
         shift = np.roll(base.values, -k, axis=1)
         assert np.max(np.abs(rotated.values - shift)) < 1e-8
+
+
+class TestDiskFactor:
+    GEOMETRIES = ((EUCLID, 1.0), (SPHERE, math.pi / 4), (HYPER, 1.0))
+
+    @pytest.mark.parametrize("ns,nt", [(8, 16), (64, 128)])
+    def test_matches_sparse_lu(self, ns, nt):
+        for profile, R in self.GEOMETRIES:
+            ball = StarDomain.ball(R)
+            system = assemble(profile, ball, build_grid(ball, ns, nt))
+            A, b = discretization._equilibrated(system)
+            got = discretization._DiskFactor(A, nt).solve(b)
+            want = discretization.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), profile.kind
+
+    def test_selected_for_disks_only(self, monkeypatch):
+        calls = {"disk": 0, "splu": 0}
+        exact_disk = discretization._DiskFactor
+        exact_splu = discretization.splu
+
+        def disk(*args):
+            calls["disk"] += 1
+            return exact_disk(*args)
+
+        def lu(*args, **kw):
+            calls["splu"] += 1
+            return exact_splu(*args, **kw)
+
+        monkeypatch.setattr(discretization, "_DiskFactor", disk)
+        monkeypatch.setattr(discretization, "splu", lu)
+        for domain, want in ((StarDomain.ball(1.0), {"disk": 1, "splu": 0}),
+                             (StarDomain(1.0, (0.0,), ()), {"disk": 2, "splu": 0}),
+                             (StarDomain(1.0, (0.0, 1e-9)), {"disk": 2, "splu": 1})):
+            solve_torsion(EUCLID, domain, 8, 16)
+            assert calls == want, domain
+
+    @pytest.mark.parametrize("kind,r_max,R", [
+        ("euclidean", 50.0, 0.999 * 50.0),
+        ("spherical", math.pi / 2, 0.999 * math.pi / 2),
+        ("hyperbolic", 50.0, 5.0),
+        ("euclidean", 50.0, 0.01),
+        ("spherical", math.pi / 2, 0.01),
+        ("hyperbolic", 50.0, 0.01),
+    ])
+    def test_fine_balls_at_radius_edges(self, kind, r_max, R):
+        field = solve_torsion(make_profile(kind, r_max), StarDomain.ball(R), 256, 512)
+        assert field.residual <= 1e-10
+        assert field.iterations == 0
+
+    def test_equilibration_matches_diagonal_scaling(self):
+        domain = StarDomain(0.8, (0.05, 0.1), (0.0, 0.05))
+        system = assemble(SPHERE, domain, build_grid(domain, 16, 32))
+        row_max = np.abs(system.matrix).max(axis=1).toarray().ravel()
+        scale = sp.diags(1.0 / row_max)
+        want_A = (scale @ system.matrix).tocsr()
+        A, b = discretization._equilibrated(system)
+        np.testing.assert_array_equal(A.toarray(), want_A.toarray())
+        np.testing.assert_array_equal(b, scale @ system.rhs)
 
 
 class TestGradientField:

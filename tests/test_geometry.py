@@ -45,6 +45,17 @@ class TestMakeProfile:
         assert p.h_dot(2.3) == 1.0
         assert p.h_ddot(2.3) == 0.0
 
+    @pytest.mark.parametrize("r", [2.3, 2, np.array(2.3), np.array([0.5, 2.0])],
+                             ids=["float", "int", "0-d", "1-d"])
+    def test_euclidean_derivatives_are_float_arrays_shaped_like_r(self, r):
+        p = make_profile("euclidean", 10.0)
+        for fn, value in ((p.h_dot, 1.0), (p.h_ddot, 0.0)):
+            got = fn(r)
+            assert isinstance(got, np.ndarray)
+            assert got.dtype == np.float64
+            assert got.shape == np.shape(r)
+            assert np.all(got == value)
+
     def test_spherical_closed_forms(self):
         p = make_profile("spherical", math.pi / 2)
         assert p.h(math.pi / 4) == pytest.approx(0.7071067811865475, abs=1e-15)
