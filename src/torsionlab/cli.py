@@ -14,7 +14,7 @@ Output is CSV or JSON (one object per row), written with full float
 precision so identical configs produce byte-identical artifacts.
 
 Exit codes: 0 success / all verdicts pass, 1 verdict failure, 2 invalid
-config, 3 solver non-convergence.
+config, 3 solver non-convergence (for ``rigidity``: on every shape tried).
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from .discretization import (
 )
 from .functionals import compute_catalog, identity_report
 from .geometry import make_profile
-from .rigidity import ball_family, offset_family, optimize_shape, sweep
+from .rigidity import (NoFeasibleShapeError, ball_family, offset_family,
+                       optimize_shape, sweep)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -227,6 +228,9 @@ def _validate(cfg: RunConfig, sources: dict) -> None:
             bound = v + cfg.R0 if cfg.family == "offset" else v
             if cfg.family == "offset" and not (0 <= v < cfg.R0):
                 fail("family_values", f"offset {v} must lie in [0, R0)")
+            if cfg.family == "ball" and not (v > 0 and math.isfinite(v)):
+                fail("family_values", f"ball radius {v} in family_values must be "
+                                      f"positive and finite")
             if bound >= r_max:
                 fail("family_values", f"family member {v} leaves the profile "
                                       f"bound r_max = {r_max:.10g}")
@@ -358,9 +362,11 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig) -> int:
+    # The config check keeps a descent's start shape valid, so a descent with
+    # no feasible shape is one on which every solve failed.
     try:
         return _RUNNERS[cfg.command](cfg)
-    except SolverConvergenceError as exc:
+    except (SolverConvergenceError, NoFeasibleShapeError) as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return 3
 

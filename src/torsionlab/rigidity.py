@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 
+# The simplex has collapsed when its vertices and their J values lie this close.
+_XATOL = 1e-7
+_FATOL = 1e-14
+
+
 class NoFeasibleShapeError(RuntimeError):
     """Every shape the descent evaluated was invalid or left the profile's range."""
 
@@ -150,8 +155,7 @@ def _unpack(x: np.ndarray, modes: int) -> StarDomain:
 
 def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
                    budget: int, ns: int, ntheta: int, *,
-                   target_j: float = 1e-7, xatol: float = 1e-7,
-                   fatol: float = 1e-14,
+                   target_j: float = 1e-7,
                    solver_tol: float = 1e-10) -> OptimizationTrace:
     """Nelder-Mead descent of J over (r0, a_1..a_K, b_2..b_K).
 
@@ -211,7 +215,7 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
         if fvals[0] <= target_j:
             status, converged = "target reached", True
             break
-        if spread_of(simplex) < xatol and fvals[-1] - fvals[0] < fatol:
+        if spread_of(simplex) < _XATOL and fvals[-1] - fvals[0] < _FATOL:
             status, converged = "simplex collapsed", True
             break
         if evaluations >= budget:

@@ -136,6 +136,12 @@ class TestParseConfig:
             ("command=rigidity\nmodes=0", "modes"),
             ("command=rigidity\nbudget=49", "budget"),
             ("command=sweep\nfamily=spiral", "family"),
+            ("command=sweep\nfamily=ball\nfamily_values=0.5,0",
+             "ball radius 0.0 in family_values"),
+            ("command=sweep\nfamily=ball\nfamily_values=0.5,-0.5",
+             "ball radius -0.5 in family_values"),
+            ("command=sweep\nfamily=ball\nfamily_values=0.5,nan",
+             "ball radius nan in family_values"),
         ]:
             with pytest.raises(ConfigError, match=pattern):
                 parse_config(body)
@@ -238,6 +244,15 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert rc == 3
         assert "converge" in captured.err
+
+    def test_descent_with_no_solvable_shape_exit_code(self, capsys):
+        rc = main(["--command", "rigidity", "--tol", "1e-30", "--Ns", "8",
+                   "--Ntheta", "16", "--budget", "50"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "no feasible shape" in captured.err
 
 
 class TestSerialization:

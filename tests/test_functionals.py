@@ -4,11 +4,16 @@ Discrete-path tolerances were frozen from a refinement study; closed-form
 (quadrature) tolerances sit just above the integrator's error estimate.
 """
 
+import ast
+import graphlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import torsionlab
+from torsionlab import closed_form, functionals
 from torsionlab import (
     ANY_U,
     CONST_NEUMANN_CV_MAX,
@@ -260,3 +265,27 @@ class TestConformalCheck:
                               profile=SPHERE, n=2)
         with pytest.raises(ValueError):
             conformal_check(field)
+
+
+class TestModuleLayout:
+    def test_catalog_is_one_class(self):
+        assert functionals.FunctionalCatalog is closed_form.FunctionalCatalog
+        assert torsionlab.FunctionalCatalog is closed_form.FunctionalCatalog
+
+    def test_package_imports_are_acyclic(self):
+        """Relative imports among the modules, lazy ones included, form a DAG."""
+        package = Path(torsionlab.__file__).parent
+        modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+        graph = {}
+        for name in modules:
+            tree = ast.parse((package / f"{name}.py").read_text())
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    if node.module:
+                        imported.add(node.module.split(".")[0])
+                    else:
+                        imported.update(alias.name for alias in node.names)
+            graph[name] = imported & modules
+        assert graph["closed_form"] == {"geometry"}
+        tuple(graphlib.TopologicalSorter(graph).static_order())   # CycleError

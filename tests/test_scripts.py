@@ -1,13 +1,13 @@
-"""Smoke runs of the experiment scripts in ``scripts/``.
+"""The experiment script and the run configs in ``scripts/``.
 
-Each script runs once as a subprocess at a tiny grid and must exit 0
-without a traceback.  Arguments the library rejects must end in an
-argparse usage error (exit 2), not a traceback, and a descent that finds
-no feasible shape ends in exit 1 without a usage line.  Those cases run
-in-process through ``runpy`` because none of them reaches a solve and a
-fresh interpreter per case would only add import time.
+``convergence_study.py`` runs once as a subprocess at a tiny grid and must
+exit 0 without a traceback; an argument the library rejects must end in an
+argparse usage error (exit 2), run in-process through ``runpy`` because it
+never reaches a solve.  Each ``*.cfg`` must parse to the study's inputs and
+run through ``cli.main`` at a tiny grid.
 """
 
+import math
 import os
 import runpy
 import subprocess
@@ -16,14 +16,14 @@ from pathlib import Path
 
 import pytest
 
+from torsionlab.cli import RunConfig, main, parse_config
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
 
 @pytest.mark.parametrize("script,args", [
     ("convergence_study.py", ["--base-ns", "8", "--levels", "2"]),
-    ("rigidity_contrast.py", ["--ns", "16", "--ntheta", "32"]),
-    ("shape_recovery.py", ["--ns", "16", "--ntheta", "32", "--budget", "50"]),
 ])
 def test_script_runs(script, args):
     env = dict(os.environ)
@@ -37,10 +37,8 @@ def test_script_runs(script, args):
 
 
 @pytest.mark.parametrize("script,args,message", [
-    ("shape_recovery.py", ["--budget", "20"], "budget must be at least"),
-    ("shape_recovery.py", ["--modes", "0"], "modes must be"),
-    ("rigidity_contrast.py", ["--offsets", "0.9"], "offset < radius"),
-    ("convergence_study.py", ["--base-ns", "4"], "ns must be at least"),
+    pytest.param("convergence_study.py", ["--base-ns", "4"], "ns must be at least",
+                 id="convergence_study.py-args3-ns must be at least"),
 ])
 def test_rejected_argument_is_a_usage_error(script, args, message, monkeypatch,
                                             capsys):
@@ -54,14 +52,32 @@ def test_rejected_argument_is_a_usage_error(script, args, message, monkeypatch,
     assert "Traceback" not in err
 
 
-def test_infeasible_descent_is_not_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["shape_recovery.py", "--r0", "1.6",
-                                      "--budget", "50", "--ns", "16",
-                                      "--ntheta", "32"])
-    with pytest.raises(SystemExit) as info:
-        runpy.run_path(str(SCRIPTS / "shape_recovery.py"), run_name="__main__")
-    err = capsys.readouterr().err
-    assert info.value.code == 1
-    assert "no feasible shape" in err
-    assert "usage:" not in err
-    assert "Traceback" not in err
+CONTRAST = dict(command="sweep", family="offset",
+                family_values=(0.0, 0.05, 0.1, 0.2), Ns=128, Ntheta=256)
+SWEEP_HEADER = "parameter,j,c_mean,c_std,status"
+
+# Config file -> (its inputs, the frozen CSV header, flags for a short run).
+CONFIGS = {
+    "contrast_sphere.cfg": (RunConfig(geometry="spherical", R0=math.pi / 4,
+                                      **CONTRAST), SWEEP_HEADER, []),
+    "contrast_plane.cfg": (RunConfig(geometry="euclidean", R0=1.0, **CONTRAST),
+                           SWEEP_HEADER, []),
+    "shape_recovery.cfg": (RunConfig(command="rigidity", geometry="spherical",
+                                     R0=math.pi / 4, cos_coeffs={2: 0.1},
+                                     modes=2, budget=400, Ns=64, Ntheta=128),
+                           "index,evaluations,j,spread,r0,a1,a2,b1,b2,status",
+                           ["--budget", "50"]),
+}
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.cfg")),
+                         ids=lambda path: path.name)
+def test_config_runs(path, capsys):
+    inputs, header, flags = CONFIGS[path.name]
+    # Every key not set above keeps its default.
+    assert parse_config(path.read_text()) == inputs
+
+    rc = main([str(path), "--Ns", "16", "--Ntheta", "32", *flags])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert captured.out.split("\n", 1)[0] == header
