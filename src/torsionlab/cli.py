@@ -13,8 +13,8 @@ commands cover the package surface:
 Output is CSV or JSON (one object per row), written with full float
 precision so identical configs produce byte-identical artifacts.
 
-Exit codes: 0 success / all verdicts pass, 1 verdict failure, 2 invalid
-config, 3 solver non-convergence (for ``rigidity``: on every shape tried).
+Exit codes: 0 success, 1 verdict failure, 2 invalid config or unwritable
+output, 3 solver non-convergence (for ``rigidity``: on every shape tried).
 """
 
 from __future__ import annotations
@@ -215,6 +215,9 @@ def _validate(cfg: RunConfig, sources: dict) -> None:
         domain = cfg.domain()
     except ValueError as exc:
         raise ConfigError(f"{where('R0')}: {exc}") from None
+    if cfg.command == "rigidity" and any(domain.cos_coeffs[cfg.modes:]
+                                         + domain.sin_coeffs[cfg.modes:]):
+        fail("modes", f"the start shape has a nonzero harmonic above modes = {cfg.modes}")
     if cfg.command == "radial":
         if cfg.R0 >= r_max:
             fail("R0", f"ball radius R0 = {cfg.R0} reaches the profile bound "
@@ -277,8 +280,11 @@ def _emit(rows, columns: list, cfg: RunConfig) -> None:
     if cfg.out is None:
         sys.stdout.write(payload)
     else:
-        with open(cfg.out, "w", newline="") as sink:
-            sink.write(payload)
+        try:
+            with open(cfg.out, "w", newline="") as sink:
+                sink.write(payload)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {cfg.out!r}: {exc}") from None
 
 
 def _run_radial(cfg: RunConfig) -> int:
@@ -369,6 +375,9 @@ def run(cfg: RunConfig) -> int:
     except (SolverConvergenceError, NoFeasibleShapeError) as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return 3
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

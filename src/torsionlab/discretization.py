@@ -12,7 +12,10 @@ domains  {r < rho(theta)}  by mapping to the unit square in the coordinates
     degenerates to the classical polar 5-point stencil on disks;
   * the Dirichlet ring s = 1 is eliminated by a ghost value at s = 1 + ds/2
     extrapolated quadratically through u(1) = 0, which keeps second order
-    up to the boundary.
+    up to the boundary;
+  * assembly fills one (3, 3, Ns, Ntheta) array of arm weights, folds the
+    ghost into the last ring and points the pole arms at antipodal columns,
+    so the CSR matrix is read off it with nine slots per row.
 
 The resulting system is nonsymmetric.  On a disk its coefficients do not
 depend on theta, so an FFT in theta splits it into one tridiagonal system in
@@ -265,9 +268,14 @@ def assemble(profile: WarpingProfile, domain: StarDomain, grid: Grid,
              n: int = 2) -> LinearSystem:
     """Sparse operator and right-hand side for Lap u = n h_dot, n = 2.
 
-    Rows hold at most 9 nonzeros.  Stencil arms crossing the pole are
-    redirected antipodally; arms crossing s = 1 are folded back through the
-    quadratic Dirichlet ghost u_ghost = u_{last-1}/3 - 2 u_last.
+    ``weights[1 + dj, 1 + di, j, i]`` is the arm from node (j, i) to
+    (j + dj, i + di).  On the last ring each outer arm w is folded through
+    the quadratic Dirichlet ghost u_ghost = u_{last-1}/3 - 2 u_last: it adds
+    -2 w to the arm with dj = 0 and w/3 to the arm with dj = -1.  Ring 0's
+    inner arms point at the antipodal column (i + di + Ntheta/2) mod Ntheta.
+    With Ns >= 8 and Ntheta >= 16 the nine slots of a row then have distinct
+    columns and become the CSR row as they stand, less their exact zeros
+    (the folded arms, and the cross-derivative arms wherever rho' = 0).
     """
     if n != 2:
         raise ValueError(f"the grid solver covers the surface case n = 2, got n = {n}")
@@ -284,59 +292,38 @@ def assemble(profile: WarpingProfile, domain: StarDomain, grid: Grid,
     ds, dt = grid.ds, grid.dtheta
     A, B, C, D, hd = _mapped_coefficients(profile, grid)
 
-    w_center = -2.0 * A / ds ** 2 - 2.0 * C / dt ** 2
-    w_jp = A / ds ** 2 + D / (2.0 * ds)
-    w_jm = A / ds ** 2 - D / (2.0 * ds)
-    w_ang = C / dt ** 2
-    w_corner = B / (4.0 * ds * dt)
+    corner = B / (4.0 * ds * dt)
+    weights = np.empty((3, 3, ns, nt))
+    weights[1, 1] = -2.0 * A / ds ** 2 - 2.0 * C / dt ** 2
+    weights[2, 1] = A / ds ** 2 + D / (2.0 * ds)
+    weights[0, 1] = A / ds ** 2 - D / (2.0 * ds)
+    weights[1, 0] = weights[1, 2] = C / dt ** 2
+    weights[0, 0] = weights[2, 2] = corner
+    weights[0, 2] = weights[2, 0] = -corner
+    # Dirichlet ghost at s = 1 + ds/2, quadratic through u(1) = 0.
+    outer = weights[2, :, -1]
+    weights[1, :, -1] += -2.0 * outer
+    weights[0, :, -1] += outer / 3.0
+    weights[2, :, -1] = 0.0
 
-    jj, ii = np.meshgrid(np.arange(ns), np.arange(nt), indexing="ij")
-    base = (jj * nt + ii).ravel()
-    half = nt // 2
+    step = np.arange(-1, 2)
+    ring = np.arange(ns)[:, None] + step[:, None, None]
+    angle = (np.arange(nt) + step[:, None]) % nt
+    cols = ring[:, None] * nt + angle[None, :, None, :]
+    # Across the pole: (s_1 - ds, theta) is (s_1, theta + pi).
+    cols[0, :, 0] = (angle + nt // 2) % nt
+    # The folded outer arms now weigh zero; any column inside the grid will do.
+    cols[2, :, -1] = cols[1, :, -1]
 
-    rows, cols, vals = [], [], []
-
-    def push(dj, di, weight):
-        w = np.broadcast_to(weight, (ns, nt)).ravel()
-        tj = (jj + dj).ravel()
-        ti = ((ii + di) % nt).ravel()
-        inside = (tj >= 0) & (tj < ns)
-        rows.append(base[inside])
-        cols.append((tj * nt + ti)[inside])
-        vals.append(w[inside])
-        below = tj < 0
-        if below.any():
-            # Across the pole: (s_1 - ds, theta) is (s_1, theta + pi).
-            rows.append(base[below])
-            cols.append((ti[below] + half) % nt)
-            vals.append(w[below])
-        above = tj >= ns
-        if above.any():
-            # Dirichlet ghost at s = 1 + ds/2, quadratic through u(1) = 0.
-            rows.append(base[above])
-            cols.append((ns - 2) * nt + ti[above])
-            vals.append(w[above] / 3.0)
-            rows.append(base[above])
-            cols.append((ns - 1) * nt + ti[above])
-            vals.append(-2.0 * w[above])
-
-    push(0, 0, w_center)
-    push(1, 0, w_jp)
-    push(-1, 0, w_jm)
-    push(0, 1, w_ang)
-    push(0, -1, w_ang)
-    push(1, 1, w_corner)
-    push(-1, -1, w_corner)
-    push(1, -1, -w_corner)
-    push(-1, 1, -w_corner)
-
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.size, grid.size),
-    ).tocsr()
-    # Cross-derivative weights are exact zeros on disks; drop them so the
-    # stored sparsity is the true stencil.
+    size = grid.size
+    matrix = sp.csr_matrix(
+        (weights.transpose(2, 3, 0, 1).ravel(), cols.transpose(2, 3, 0, 1).ravel(),
+         np.arange(0, 9 * size + 1, 9)),
+        shape=(size, size),
+    )
+    # SuperLU's ordering reads the stored pattern: keep it the true stencil.
     matrix.eliminate_zeros()
+    matrix.sort_indices()
     rhs = (n * hd).ravel()
     return LinearSystem(matrix=matrix, rhs=rhs, grid=grid, profile=profile, n=n)
 

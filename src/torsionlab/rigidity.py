@@ -61,15 +61,14 @@ class ShapeObjective:
 
 
 def neumann_deviation(domain: StarDomain, profile: WarpingProfile, ns: int,
-                      ntheta: int, tol: float = 1e-10,
-                      max_iter: int | None = None) -> ShapeObjective:
+                      ntheta: int, tol: float = 1e-10) -> ShapeObjective:
     """Solve the torsion problem and measure how non-constant the trace is.
 
     J = (weighted variance of the Neumann trace) / (weighted mean)^2, a
     dimensionless number that vanishes exactly when the overdetermined
     problem is solvable on the domain.
     """
-    field = solve_torsion(profile, domain, ns, ntheta, tol=tol, max_iter=max_iter)
+    field = solve_torsion(profile, domain, ns, ntheta, tol=tol)
     values, weights = neumann_trace(field)
     total = float(np.sum(weights))
     mean = float(np.sum(weights * values) / total)
@@ -163,10 +162,13 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
     (1, 2, 1/2, 1/2).  Invalid shapes score +inf so the simplex backs away
     from them.  Exhausting the evaluation budget is an ordinary outcome:
     the best iterate seen is returned with ``converged=False``.  If no
-    evaluated shape was feasible, ``NoFeasibleShapeError`` is raised.
+    evaluated shape was feasible, ``NoFeasibleShapeError`` is raised.  A
+    start with a nonzero harmonic above ``modes`` raises ``ValueError``.
     """
     if not (isinstance(modes, (int, np.integer)) and 1 <= modes <= 8):
         raise ValueError(f"modes must be an integer in 1..8, got {modes!r}")
+    if any(initial.cos_coeffs[modes:] + initial.sin_coeffs[modes:]):
+        raise ValueError(f"the start shape has a nonzero harmonic above modes = {modes}")
     if budget < 50:
         raise ValueError(f"evaluation budget must be at least 50, got {budget}")
 

@@ -135,6 +135,7 @@ class TestParseConfig:
             ("command=rigidity\nmodes=9", "modes"),
             ("command=rigidity\nmodes=0", "modes"),
             ("command=rigidity\nbudget=49", "budget"),
+            ("command=rigidity\nmodes=1\na3=0.1", "harmonic above modes = 1"),
             ("command=sweep\nfamily=spiral", "family"),
             ("command=sweep\nfamily=ball\nfamily_values=0.5,0",
              "ball radius 0.0 in family_values"),
@@ -404,6 +405,12 @@ class TestMainArgv:
         rc = main(["/nonexistent/path.cfg"])
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        rc = main(["--command", "radial", "--Ns", "8", "--out", str(out)])
+        assert rc == 2
+        assert "cannot write output" in capsys.readouterr().err
 
     def test_invalid_config_exit(self, tmp_path, capsys):
         rc = main([write_config(tmp_path, "command=warp")])

@@ -188,6 +188,9 @@ class TestOptimizeShape:
             optimize_shape(ball, 9, SPHERE, budget=100, ns=16, ntheta=32)
         with pytest.raises(ValueError):
             optimize_shape(ball, 2, SPHERE, budget=49, ns=16, ntheta=32)
+        with pytest.raises(ValueError, match="harmonic above modes"):
+            optimize_shape(StarDomain(0.5, (0.0, 0.0, 0.1)), 1, SPHERE,
+                           budget=100, ns=16, ntheta=32)
 
     def test_infeasible_start_is_not_an_argument_error(self):
         # Every vertex of the start simplex reaches past the equator, and the
