@@ -7,14 +7,14 @@ commands cover the package surface:
     radial     closed-form ball solution samples plus functional catalog
     solve      discrete torsion solve: field values and Neumann trace
     verify     identity report for a discrete solve (exit 1 on failure)
-    rigidity   simplex descent of the Neumann-deviation objective
+    rigidity   Gauss-Newton descent of the Neumann-deviation objective
     sweep      J over a parametrized family of domains
 
 Output is CSV or JSON (one object per row), written with full float
 precision so identical configs produce byte-identical artifacts.
 
 Exit codes: 0 success, 1 verdict failure, 2 invalid config or unwritable
-output, 3 solver non-convergence (for ``rigidity``: on every shape tried).
+output, 3 solver non-convergence (for ``rigidity``: on the start shape).
 """
 
 from __future__ import annotations
@@ -369,7 +369,7 @@ _RUNNERS = {
 
 def run(cfg: RunConfig) -> int:
     # The config check keeps a descent's start shape valid, so a descent with
-    # no feasible shape is one on which every solve failed.
+    # no feasible shape is one whose start solve failed.
     try:
         return _RUNNERS[cfg.command](cfg)
     except (SolverConvergenceError, NoFeasibleShapeError) as exc:

@@ -5,8 +5,8 @@ normal derivative are geodesic balls centered at the pole; in flat space an
 entire family of translated disks works.  The objective J below is the
 normalized squared deviation of the Neumann trace from its mean, so J sits
 at the discretization floor exactly on rigid shapes.  ``sweep`` maps J over
-parametrized families and ``optimize_shape`` descends it with a classical
-simplex method.
+parametrized families.  J is the squared norm of a vector of weighted trace
+residuals, so ``optimize_shape`` descends it by Gauss-Newton least squares.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from .discretization import (
     SolverConvergenceError,
@@ -39,22 +40,23 @@ __all__ = [
 ]
 
 
-# The simplex has collapsed when its vertices and their J values lie this close.
-_XATOL = 1e-7
-_FATOL = 1e-14
-
-
 class NoFeasibleShapeError(RuntimeError):
-    """Every shape the descent evaluated was invalid or left the profile's range."""
+    """The descent's start shape is invalid, leaves the profile's range or fails to solve."""
 
 
 @dataclass(frozen=True, eq=False)
 class ShapeObjective:
-    """Neumann-deviation objective J for one domain, with trace statistics."""
+    """Neumann-deviation objective J for one domain, with trace statistics.
+
+    ``residuals`` holds r_i = sqrt(w_i / W) (c_i - c_mean) / c_mean over the
+    boundary trace values c_i with quadrature weights w_i summing to W, so
+    sum(r_i^2) equals ``j`` up to rounding.
+    """
 
     j: float
     c_mean: float
     c_std: float
+    residuals: np.ndarray
     domain: StarDomain
     ns: int
     ntheta: int
@@ -75,6 +77,7 @@ def neumann_deviation(domain: StarDomain, profile: WarpingProfile, ns: int,
     var = float(np.sum(weights * (values - mean) ** 2) / total)
     return ShapeObjective(j=var / mean ** 2, c_mean=mean,
                           c_std=math.sqrt(max(var, 0.0)),
+                          residuals=np.sqrt(weights / total) * (values - mean) / mean,
                           domain=domain, ns=ns, ntheta=ntheta)
 
 
@@ -116,7 +119,7 @@ class TraceRow:
     r0: float
     cos_coeffs: tuple
     sin_coeffs: tuple
-    spread: float          # max vertex distance of the current simplex
+    spread: float          # step length from the previous best iterate
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,29 +144,40 @@ def _pack(domain: StarDomain, modes: int) -> np.ndarray:
         rotated = domain.rotated(phase)
         a[: len(rotated.cos_coeffs)] = rotated.cos_coeffs[:modes]
         b[: len(rotated.sin_coeffs)] = rotated.sin_coeffs[:modes]
-        b[0] = 0.0
-    return np.concatenate([[domain.r0], a, b[1:]])
+    return np.concatenate([a, b[1:]])
 
 
-def _unpack(x: np.ndarray, modes: int) -> StarDomain:
-    r0 = float(x[0])
-    a = tuple(x[1:1 + modes])
-    b = (0.0,) + tuple(x[1 + modes:])
-    return StarDomain(r0, a, b)
+def _unpack(x: np.ndarray, r0: float, modes: int) -> StarDomain:
+    return StarDomain(r0, tuple(x[:modes]), (0.0,) + tuple(x[modes:]))
+
+
+class _Stop(Exception):
+    """Ends the least-squares run from inside the residual function.
+
+    Its one argument is the run's status.
+    """
 
 
 def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
                    budget: int, ns: int, ntheta: int, *,
                    target_j: float = 1e-7,
                    solver_tol: float = 1e-10) -> OptimizationTrace:
-    """Nelder-Mead descent of J over (r0, a_1..a_K, b_2..b_K).
+    """Gauss-Newton descent of J over (a_1..a_K, b_2..b_K) at fixed r0.
 
-    Standard reflection/expansion/contraction/shrink coefficients
-    (1, 2, 1/2, 1/2).  Invalid shapes score +inf so the simplex backs away
-    from them.  Exhausting the evaluation budget is an ordinary outcome:
-    the best iterate seen is returned with ``converged=False``.  If no
-    evaluated shape was feasible, ``NoFeasibleShapeError`` is raised.  A
-    start with a nonzero harmonic above ``modes`` raises ``ValueError``.
+    J is the squared norm of the weighted trace residuals, so
+    ``scipy.optimize.least_squares`` (trust-region reflective, with a
+    forward-difference Jacobian) minimizes it directly.  r0 stays at the
+    start's value: every pole-centred ball is rigid, so a J = 0 shape stays
+    reachable, and a free r0 drifts to the flat limit where off-centre caps
+    are nearly rigid too.  Every solve counts as an evaluation, Jacobian
+    columns included, and ``evaluations`` never exceeds ``budget``.  Invalid
+    trial shapes get non-finite residuals, which shrink the trust region.
+    The run ends at the first evaluation with J <= ``target_j``, when the
+    budget is spent (the best iterate seen is returned with
+    ``converged=False``), or when least_squares stops on its own
+    tolerances.  A start that cannot be solved raises
+    ``NoFeasibleShapeError``; a start with a nonzero harmonic above
+    ``modes`` raises ``ValueError``.
     """
     if not (isinstance(modes, (int, np.integer)) and 1 <= modes <= 8):
         raise ValueError(f"modes must be an integer in 1..8, got {modes!r}")
@@ -172,92 +186,49 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
     if budget < 50:
         raise ValueError(f"evaluation budget must be at least 50, got {budget}")
 
+    r0 = initial.r0
     evaluations = 0
     rows: list[TraceRow] = []
-    best = {"x": None, "j": math.inf}
+    best_x, best_j = None, math.inf
 
-    def objective(x: np.ndarray) -> float:
-        nonlocal evaluations
+    def residuals(x: np.ndarray) -> np.ndarray:
+        nonlocal evaluations, best_x, best_j
+        if evaluations >= budget:
+            raise _Stop("budget exhausted")
         evaluations += 1
         try:
-            domain = _unpack(x, modes)
-            if domain.max_radius >= profile.r_max:
-                return math.inf
-            return neumann_deviation(domain, profile, ns, ntheta,
-                                     tol=solver_tol).j
+            domain = _unpack(x, r0, modes)
+            obj = neumann_deviation(domain, profile, ns, ntheta, tol=solver_tol)
         except (ValueError, SolverConvergenceError):
-            return math.inf
+            if best_x is None:
+                raise NoFeasibleShapeError(
+                    "no feasible shape: the start shape cannot be solved") from None
+            return np.full(ntheta, math.nan)
+        if obj.j < best_j:
+            step = 0.0 if best_x is None else float(np.linalg.norm(x - best_x))
+            best_x, best_j = x.copy(), obj.j
+            rows.append(TraceRow(len(rows), evaluations, obj.j, r0,
+                                 domain.cos_coeffs, domain.sin_coeffs, step))
+        if obj.j <= target_j:
+            raise _Stop("target reached")
+        return obj.residuals
 
-    def spread_of(simplex: np.ndarray) -> float:
-        return float(np.max(np.linalg.norm(simplex - simplex[0], axis=1)))
-
-    def record(simplex, fvals):
-        k = int(np.argmin(fvals))
-        if fvals[k] < best["j"]:
-            best["j"] = float(fvals[k])
-            best["x"] = simplex[k].copy()
-            dom = _unpack(simplex[k], modes)
-            rows.append(TraceRow(len(rows), evaluations, best["j"], dom.r0,
-                                 dom.cos_coeffs, dom.sin_coeffs,
-                                 spread_of(simplex)))
-
-    x0 = _pack(initial, modes)
-    dim = x0.size
-    steps = np.full(dim, 0.05)
-    steps[0] = 0.05 * x0[0]
-    simplex = np.vstack([x0] + [x0 + steps[k] * np.eye(dim)[k] for k in range(dim)])
-    fvals = np.array([objective(v) for v in simplex])
-    record(simplex, fvals)
-
-    status = "budget exhausted"
-    converged = False
-    while True:
-        order = np.argsort(fvals, kind="stable")
-        simplex, fvals = simplex[order], fvals[order]
-        if fvals[0] <= target_j:
-            status, converged = "target reached", True
-            break
-        if spread_of(simplex) < _XATOL and fvals[-1] - fvals[0] < _FATOL:
-            status, converged = "simplex collapsed", True
-            break
-        if evaluations >= budget:
-            break
-
-        centroid = simplex[:-1].mean(axis=0)
-        worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
-        f_r = objective(reflected)
-        if f_r < fvals[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_e = objective(expanded) if evaluations < budget else math.inf
-            if f_e < f_r:
-                simplex[-1], fvals[-1] = expanded, f_e
-            else:
-                simplex[-1], fvals[-1] = reflected, f_r
-        elif f_r < fvals[-2]:
-            simplex[-1], fvals[-1] = reflected, f_r
-        else:
-            if f_r < fvals[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-            else:
-                contracted = centroid - 0.5 * (centroid - worst)
-            f_c = objective(contracted) if evaluations < budget else math.inf
-            if f_c < min(f_r, fvals[-1]):
-                simplex[-1], fvals[-1] = contracted, f_c
-            else:
-                # Shrink toward the best vertex.
-                for k in range(1, dim + 1):
-                    simplex[k] = simplex[0] + 0.5 * (simplex[k] - simplex[0])
-                    fvals[k] = objective(simplex[k]) if evaluations < budget \
-                        else math.inf
-        record(simplex, fvals)
-
-    if best["x"] is None or not math.isfinite(best["j"]):
-        raise NoFeasibleShapeError("no feasible shape was found within the budget")
+    try:
+        result = least_squares(residuals, _pack(initial, modes), method="trf",
+                               max_nfev=budget)
+        # Status 0 is trf's own evaluation cap; 1-4 are its tolerance tests,
+        # reported under the frozen CLI status name "simplex collapsed".
+        status = "simplex collapsed" if result.status > 0 else "budget exhausted"
+    except _Stop as stop:
+        status, = stop.args
+    except ValueError:
+        # A difference step from the best iterate left the feasible set, so
+        # the Jacobian is not finite and trf cannot form its next model.
+        status = "simplex collapsed"
     return OptimizationTrace(
-        rows=tuple(rows), best_domain=_unpack(best["x"], modes),
-        best_j=best["j"], evaluations=evaluations, converged=converged,
-        status=status,
+        rows=tuple(rows), best_domain=_unpack(best_x, r0, modes),
+        best_j=best_j, evaluations=evaluations,
+        converged=status != "budget exhausted", status=status,
     )
 
 

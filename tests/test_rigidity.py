@@ -1,4 +1,4 @@
-"""Shape-objective experiments: rigidity contrast, sweeps, simplex descent.
+"""Shape-objective experiments: rigidity contrast, sweeps, Gauss-Newton descent.
 
 The floor values (1e-20 and below) reflect a measured property of the
 scheme: on any domain whose discrete trace is theta-independent the
@@ -6,11 +6,13 @@ objective J collapses to rounding noise at every resolution, so balls sit
 many orders below the truncation scale of non-round shapes.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import torsionlab.rigidity as rigidity
 from torsionlab import (
     NoFeasibleShapeError,
     StarDomain,
@@ -28,6 +30,11 @@ SPHERE = make_profile("spherical", math.pi / 2)
 HYPER = make_profile("hyperbolic", 5.0)
 
 OFFSETS = (0.0, 0.05, 0.1, 0.2)
+
+
+def roundness_of(domain):
+    rho = domain.rho(np.linspace(0.0, 2 * math.pi, 512, endpoint=False))
+    return (np.max(rho) - np.min(rho)) / np.mean(rho)
 
 
 def spherical_offset_domain(R, d):
@@ -60,6 +67,11 @@ class TestNeumannDeviation:
         assert obj.c_std == pytest.approx(math.sqrt(obj.j) * abs(obj.c_mean),
                                           rel=1e-12)
         assert obj.ns == 32 and obj.ntheta == 64
+
+    def test_residuals_square_to_j(self):
+        obj = neumann_deviation(StarDomain(0.8, (0.1,), (0.0, 0.05)), SPHERE, 32, 64)
+        assert obj.residuals.shape == (64,)
+        assert float(np.sum(obj.residuals ** 2)) == pytest.approx(obj.j, rel=1e-12)
 
     def test_rotation_invariance(self):
         dom = StarDomain(0.8, (0.1,), (0.0, 0.05))
@@ -172,8 +184,10 @@ class TestOptimizeShape:
         assert all(row.spread >= 0.0 for row in trace.rows)
 
     def test_budget_exhaustion_returns_best(self):
-        trace = optimize_shape(StarDomain(math.pi / 4, (0.0, 0.1)), 2, SPHERE,
-                               budget=50, ns=16, ntheta=32, target_j=1e-30)
+        # Eight modes make each difference Jacobian cost 15 solves, so the
+        # budget runs out before trf's own tolerances can stop it.
+        trace = optimize_shape(StarDomain(math.pi / 4, (0.0, 0.1)), 8, SPHERE,
+                               budget=50, ns=16, ntheta=32, target_j=0.0)
         assert not trace.converged
         assert trace.status == "budget exhausted"
         assert trace.evaluations <= 51
@@ -193,8 +207,8 @@ class TestOptimizeShape:
                            budget=100, ns=16, ntheta=32)
 
     def test_infeasible_start_is_not_an_argument_error(self):
-        # Every vertex of the start simplex reaches past the equator, and the
-        # descent never leaves that region: a run outcome, not a bad value.
+        # The start reaches past the equator, so its solve fails before the
+        # descent can take a step: a run outcome, not a bad value.
         start = StarDomain(1.6, (0.0, 0.1))
         with pytest.raises(NoFeasibleShapeError):
             optimize_shape(start, 2, SPHERE, budget=50, ns=16, ntheta=32)
@@ -205,3 +219,46 @@ class TestOptimizeShape:
                                SPHERE, budget=120, ns=16, ntheta=32)
         assert math.isfinite(trace.best_j)
         assert trace.best_domain.sin_coeffs[0] == 0.0
+
+    @pytest.mark.parametrize("signs", itertools.product((-1.0, 1.0), repeat=3),
+                             ids=lambda signs: "".join("+-"[s < 0] for s in signs))
+    def test_octant_starts_recover_the_pole_cap(self, signs):
+        a1, a2, b2 = (0.05 * s for s in signs)
+        start = StarDomain(math.pi / 4, (a1, a2), (0.0, b2))
+        trace = optimize_shape(start, 2, SPHERE, budget=400, ns=16, ntheta=32)
+        assert trace.status == "target reached"
+        assert roundness_of(trace.best_domain) < 0.02
+        assert trace.evaluations <= 20
+        assert all(row.r0 == start.r0 for row in trace.rows)
+        assert all(row.sin_coeffs[0] == 0.0 for row in trace.rows)
+
+    def test_every_evaluation_is_one_neumann_deviation_call(self, monkeypatch):
+        calls = []
+        deviation = rigidity.neumann_deviation
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return deviation(*args, **kwargs)
+
+        monkeypatch.setattr(rigidity, "neumann_deviation", counted)
+        trace = optimize_shape(StarDomain(1.5, (0.0, 0.04)), 8, SPHERE,
+                               budget=50, ns=16, ntheta=32, target_j=0.0)
+        assert trace.evaluations == len(calls)
+        assert trace.evaluations <= 50
+
+    def test_start_near_the_hemisphere_bound(self):
+        start = StarDomain(1.5, (0.0, 0.04))
+        trace = optimize_shape(start, 2, SPHERE, budget=200, ns=16, ntheta=32)
+        assert math.isfinite(trace.best_j)
+        assert trace.status == "target reached"
+        assert trace.evaluations <= 20
+        assert trace.best_domain.r0 == start.r0
+
+    def test_start_within_a_difference_step_of_the_bound(self):
+        # A forward-difference column crosses r_max, so trf cannot form a
+        # model there: the run stops with the start as its best shape.
+        start = StarDomain((math.pi / 2 - 1e-9) / 1.04, (0.0, 0.04))
+        trace = optimize_shape(start, 2, SPHERE, budget=50, ns=16, ntheta=32)
+        assert trace.status == "simplex collapsed"
+        assert math.isfinite(trace.best_j)
+        assert trace.evaluations <= 50
