@@ -61,7 +61,6 @@ _SCALAR_KEYS = {
     "Ns": int,
     "Ntheta": int,
     "tol": float,
-    "max_iter": int,
     "report_tol": float,
     "out": str,
     "format": str,
@@ -87,7 +86,6 @@ class RunConfig:
     Ns: int = 64
     Ntheta: int = 128
     tol: float = 1e-10
-    max_iter: int | None = None
     report_tol: float = 1e-2
     out: str | None = None
     format: str = "csv"
@@ -197,8 +195,6 @@ def _validate(cfg: RunConfig, sources: dict) -> None:
         fail("Ntheta", f"Ntheta must be even and at least 16, got {cfg.Ntheta}")
     if not (cfg.tol > 0):
         fail("tol", f"tol must be positive, got {cfg.tol}")
-    if cfg.max_iter is not None and cfg.max_iter < 1:
-        fail("max_iter", f"max_iter must be positive, got {cfg.max_iter}")
     if not (cfg.report_tol > 0):
         fail("report_tol", f"report_tol must be positive, got {cfg.report_tol}")
     if cfg.format not in FORMATS:
@@ -303,7 +299,7 @@ def _run_radial(cfg: RunConfig) -> int:
 
 def _run_solve(cfg: RunConfig) -> int:
     field_ = solve_torsion(cfg.profile(), cfg.domain(), cfg.Ns, cfg.Ntheta,
-                           tol=cfg.tol, max_iter=cfg.max_iter)
+                           tol=cfg.tol)
     grid = field_.grid
     values, weights = neumann_trace(field_)
     ns, nt = grid.ns, grid.ntheta
@@ -320,7 +316,7 @@ def _run_solve(cfg: RunConfig) -> int:
 
 def _run_verify(cfg: RunConfig) -> int:
     field_ = solve_torsion(cfg.profile(), cfg.domain(), cfg.Ns, cfg.Ntheta,
-                           tol=cfg.tol, max_iter=cfg.max_iter)
+                           tol=cfg.tol)
     report = identity_report(compute_catalog(field_), cfg.report_tol)
     rows = [(rec.label, rec.hypothesis_class, rec.lhs, rec.rhs,
              rec.abs_residual, rec.rel_residual, rec.verdict) for rec in report]

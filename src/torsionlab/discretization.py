@@ -21,7 +21,7 @@ The resulting system is nonsymmetric.  On a disk its coefficients do not
 depend on theta, so an FFT in theta splits it into one tridiagonal system in
 s per Fourier mode (the fast disk solver of Swarztrauber & Sweet, SIAM
 J. Numer. Anal. 10, 1973); every other domain is factored by one sparse LU.
-Both factorizations share the same iterative refinement.
+Either factor is used for one back-solve, verified by its scaled residual.
 """
 
 from __future__ import annotations
@@ -222,6 +222,8 @@ class DiscreteField:
     profile: WarpingProfile
     n: int
     residual: float = 0.0
+    # Always 0: ``solve`` takes no refinement steps.  Kept only because
+    # perfbench/layers.py:_solve_probe reads it for a per-layer metric.
     iterations: int = 0
 
     @property
@@ -230,12 +232,11 @@ class DiscreteField:
 
 
 class SolverConvergenceError(RuntimeError):
-    """LU solve and iterative refinement stopped above the requested residual."""
+    """The verified back-solve left a scaled residual above the requested tol."""
 
-    def __init__(self, message: str, residual: float, iterations: int):
+    def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
 
 
 def _mapped_coefficients(profile: WarpingProfile, grid: Grid):
@@ -392,9 +393,8 @@ def _equilibrated(system: LinearSystem):
     return A, inv_max * system.rhs
 
 
-def solve(system: LinearSystem, tol: float = 1e-10,
-          max_iter: int | None = None) -> DiscreteField:
-    """Direct solve, verified and refined to true relative residual <= tol.
+def solve(system: LinearSystem, tol: float = 1e-10) -> DiscreteField:
+    """Direct solve, verified to true relative residual <= tol.
 
     Stencil weights near the pole exceed boundary weights by several orders
     of magnitude (the 1/h^2 metric factor), which would push the rounding
@@ -402,12 +402,12 @@ def solve(system: LinearSystem, tol: float = 1e-10,
     equilibrated to unit max-norm and the residual is measured on the scaled
     system.  That matrix is factored once: on a disk by an FFT in theta and
     one tridiagonal system per mode (``_DiskFactor``), on any other domain
-    by SuperLU under a minimum-degree ordering of A^T + A.  The back-solve
-    is checked against b - A x, then improved by iterative refinement on the
-    same factor, which stops when a step fails to halve the residual or
-    after ``max_iter`` steps (no cap by default).  ``iterations`` counts the
-    refinement steps.  A residual still above tol raises
-    ``SolverConvergenceError`` carrying the residual reached.
+    by SuperLU under a minimum-degree ordering of A^T + A.  One back-solve
+    follows, checked against ||b - A x|| / ||b||; it already reaches that
+    residual's rounding floor, which fixed-precision iterative refinement
+    cannot go below (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 12).  A residual above tol raises ``SolverConvergenceError``
+    carrying the residual reached.
     """
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -423,37 +423,23 @@ def solve(system: LinearSystem, tol: float = 1e-10,
     else:
         lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
     x = lu.solve(b)
-    r = b - A @ x
-    res = float(np.linalg.norm(r)) / b_norm
-    steps = 0
-    while res > tol and (max_iter is None or steps < max_iter):
-        steps += 1
-        x_new = x + lu.solve(r)
-        r_new = b - A @ x_new
-        res_new = float(np.linalg.norm(r_new)) / b_norm
-        halved = res_new <= 0.5 * res
-        if res_new < res:
-            x, r, res = x_new, r_new, res_new
-        if not halved:
-            break
-
+    res = float(np.linalg.norm(b - A @ x)) / b_norm
     if res > tol:
         raise SolverConvergenceError(
-            f"LU solve stalled at relative residual {res:.3e} "
-            f"(requested {tol:.1e}) after {steps} refinement steps",
-            residual=res, iterations=steps,
+            f"LU solve reached relative residual {res:.3e} "
+            f"(requested {tol:.1e})",
+            residual=res,
         )
     return DiscreteField(values=x.reshape(system.grid.ns, system.grid.ntheta),
                          grid=system.grid, profile=system.profile, n=system.n,
-                         residual=res, iterations=steps)
+                         residual=res)
 
 
 def solve_torsion(profile: WarpingProfile, domain: StarDomain, ns: int,
-                  ntheta: int, tol: float = 1e-10,
-                  max_iter: int | None = None) -> DiscreteField:
+                  ntheta: int, tol: float = 1e-10) -> DiscreteField:
     """Convenience wrapper: grid, assembly and solve in one call."""
     grid = build_grid(domain, ns, ntheta)
-    return solve(assemble(profile, domain, grid), tol=tol, max_iter=max_iter)
+    return solve(assemble(profile, domain, grid), tol=tol)
 
 
 def _padded(field_values: np.ndarray, grid: Grid, dirichlet: bool) -> np.ndarray:

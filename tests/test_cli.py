@@ -129,7 +129,7 @@ class TestParseConfig:
             ("command=solve\nR0=-1", "R0"),
             ("command=solve\nNs=4", "Ns"),
             ("command=solve\ntol=0", "tol"),
-            ("command=solve\nmax_iter=0", "max_iter"),
+            ("command=solve\nmax_iter=0", "unknown key 'max_iter'"),
             ("command=verify\nreport_tol=0", "report_tol"),
             ("command=solve\nformat=xml", "format"),
             ("command=rigidity\nmodes=9", "modes"),
@@ -240,7 +240,7 @@ class TestOtherCommands:
 
     def test_solver_nonconvergence_exit_code(self, tmp_path, capsys):
         cfg = ("command=solve\ngeometry=euclidean\nR0=1.0\nNs=8\nNtheta=16\n"
-               "tol=1e-30\nmax_iter=60")
+               "tol=1e-30")
         rc = main([write_config(tmp_path, cfg)])
         captured = capsys.readouterr()
         assert rc == 3
@@ -334,7 +334,7 @@ def reference_payload(dict_rows, columns, fmt):
 
 def reference_solve_rows(cfg):
     field_ = solve_torsion(cfg.profile(), cfg.domain(), cfg.Ns, cfg.Ntheta,
-                           tol=cfg.tol, max_iter=cfg.max_iter)
+                           tol=cfg.tol)
     grid = field_.grid
     values, weights = neumann_trace(field_)
     rows = []

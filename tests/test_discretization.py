@@ -282,44 +282,40 @@ class TestSolve:
         ball = StarDomain.ball(1.0)
         system = assemble(EUCLID, ball, build_grid(ball, 8, 16))
         with pytest.raises(SolverConvergenceError) as info:
-            solve(system, tol=1e-30, max_iter=50)
+            solve(system, tol=1e-30)
         err = info.value
         assert err.residual > 1e-30
-        assert err.iterations <= 50
         assert "residual" in str(err)
 
-    @staticmethod
-    def _check_refinement_cap(monkeypatch, domain):
-        # Factor a scaled copy 1.25 A instead of A: each refinement step
-        # then shrinks the residual only five-fold, so the cap binds.
+    @pytest.mark.parametrize("domain", [
+        StarDomain.ball(1.0),                       # disk factorization
+        StarDomain(1.0, (0.05,), (0.0, 0.1)),      # SuperLU
+    ], ids=["disk", "splu"])
+    def test_bad_factor_is_caught_by_one_back_solve(self, monkeypatch, domain):
+        # Factor a scaled copy 1.25 A instead of A: the back-solve then
+        # leaves a residual of about 1/5, which the check must report
+        # after exactly one solve on the factor.
+        solves = []
         exact_disk = discretization._DiskFactor
         exact_splu = discretization.splu
+
+        class Counted:
+            def __init__(self, factor):
+                self._factor = factor
+
+            def solve(self, rhs):
+                solves.append(rhs)
+                return self._factor.solve(rhs)
+
         monkeypatch.setattr(discretization, "_DiskFactor",
-                            lambda A, nt: exact_disk(1.25 * A, nt))
+                            lambda A, nt: Counted(exact_disk(1.25 * A, nt)))
         monkeypatch.setattr(discretization, "splu",
-                            lambda A, **kw: exact_splu(1.25 * A, **kw))
+                            lambda A, **kw: Counted(exact_splu(1.25 * A, **kw)))
         system = assemble(EUCLID, domain, build_grid(domain, 8, 16))
-        field = solve(system, tol=1e-10)
-        assert field.residual <= 1e-10
-        assert 10 <= field.iterations <= 20
-        for k in (0, 1, 2, 5):
-            with pytest.raises(SolverConvergenceError) as info:
-                solve(system, tol=1e-10, max_iter=k)
-            assert info.value.iterations == k
-        monkeypatch.undo()
-        for k in (0, 1, 3):
-            assert solve(system, tol=1e-10, max_iter=k).iterations <= k
-            with pytest.raises(SolverConvergenceError) as info:
-                solve(system, tol=1e-30, max_iter=k)
-            assert info.value.iterations <= k
-
-    def test_refinement_steps_never_exceed_max_iter(self, monkeypatch):
-        # The ball is factored by the disk factorization.
-        self._check_refinement_cap(monkeypatch, StarDomain.ball(1.0))
-
-    def test_refinement_cap_on_star_domain(self, monkeypatch):
-        # A star domain is factored by SuperLU.
-        self._check_refinement_cap(monkeypatch, StarDomain(1.0, (0.05,), (0.0, 0.1)))
+        with pytest.raises(SolverConvergenceError) as info:
+            solve(system, tol=1e-10)
+        assert info.value.residual > 1e-10
+        assert len(solves) == 1
 
     def test_tolerance_validation(self):
         ball = StarDomain.ball(1.0)
@@ -351,7 +347,7 @@ class TestSolve:
         errors = []
         for ns in (128, 256):
             field = solve_torsion(SPHERE, StarDomain.ball(R), ns, 2 * ns,
-                                  tol=1e-10, max_iter=5)
+                                  tol=1e-10)
             assert field.residual <= 1e-10
             assert field.iterations <= 5
             exact = SPHERE.H(field.grid.r) - SPHERE.H(R)
