@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from torsionlab import (
+    SOLVER_TOL,
     StarDomain,
     compute_catalog,
     identity_report,
@@ -29,7 +30,7 @@ def main() -> None:
     ap.add_argument("--radius", type=float, default=math.pi / 4)
     ap.add_argument("--base-ns", type=int, default=16)
     ap.add_argument("--levels", type=int, default=4)
-    ap.add_argument("--tol", type=float, default=1e-10)
+    ap.add_argument("--tol", type=float, default=SOLVER_TOL)
     args = ap.parse_args()
 
     profile = RunConfig(geometry=args.geometry).profile()

@@ -2,126 +2,20 @@
 surfaces: closed-form radial solutions, a boundary-fitted finite-difference
 solver, integral identity checks, and shape optimization of the
 constant-Neumann deviation.
+
+The package namespace is the ordered union of the module ``__all__``s.
 """
 
-from .geometry import (
-    PROFILE_KINDS,
-    QuadratureError,
-    RadialJet,
-    WarpingProfile,
-    custom_profile,
-    divergence_radial,
-    laplacian_radial,
-    make_profile,
-    newton_gap,
-    radial_hessian,
-    ricci_quadratic,
-    sphere_area,
-)
-from .closed_form import (
-    RadialSolution,
-    bochner_residual,
-    newton_equality_check,
-    pohozaev_pointwise_residual,
-    radial_torsion_solution,
-)
-from .discretization import (
-    DiscreteField,
-    Grid,
-    GradientField,
-    LinearSystem,
-    SolverConvergenceError,
-    StarDomain,
-    assemble,
-    boundary_radial_slope,
-    build_grid,
-    gradient_field,
-    integrate,
-    neumann_trace,
-    solve,
-    solve_torsion,
-)
-from .functionals import (
-    ANY_U,
-    CONST_NEUMANN_CV_MAX,
-    CONSTANT_NEUMANN,
-    DIRICHLET_ONLY,
-    FunctionalCatalog,
-    IdentityRecord,
-    IdentityReport,
-    compute_catalog,
-    conformal_check,
-    identity_report,
-    sphere_reduction_check,
-)
-from .rigidity import (
-    NoFeasibleShapeError,
-    OptimizationTrace,
-    ShapeObjective,
-    SweepRow,
-    TraceRow,
-    ball_family,
-    neumann_deviation,
-    offset_disk,
-    offset_family,
-    optimize_shape,
-    sweep,
-)
+from . import closed_form, discretization, functionals, geometry, rigidity
+from .geometry import *
+from .closed_form import *
+from .discretization import *
+from .functionals import *
+from .rigidity import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANY_U",
-    "CONSTANT_NEUMANN",
-    "CONST_NEUMANN_CV_MAX",
-    "DIRICHLET_ONLY",
-    "DiscreteField",
-    "FunctionalCatalog",
-    "GradientField",
-    "Grid",
-    "IdentityRecord",
-    "IdentityReport",
-    "LinearSystem",
-    "NoFeasibleShapeError",
-    "OptimizationTrace",
-    "PROFILE_KINDS",
-    "QuadratureError",
-    "RadialJet",
-    "RadialSolution",
-    "ShapeObjective",
-    "SolverConvergenceError",
-    "StarDomain",
-    "SweepRow",
-    "TraceRow",
-    "WarpingProfile",
-    "assemble",
-    "ball_family",
-    "bochner_residual",
-    "boundary_radial_slope",
-    "build_grid",
-    "compute_catalog",
-    "conformal_check",
-    "custom_profile",
-    "divergence_radial",
-    "gradient_field",
-    "identity_report",
-    "integrate",
-    "laplacian_radial",
-    "make_profile",
-    "neumann_deviation",
-    "neumann_trace",
-    "newton_equality_check",
-    "newton_gap",
-    "offset_disk",
-    "offset_family",
-    "optimize_shape",
-    "pohozaev_pointwise_residual",
-    "radial_hessian",
-    "radial_torsion_solution",
-    "ricci_quadratic",
-    "solve",
-    "solve_torsion",
-    "sphere_area",
-    "sphere_reduction_check",
-    "sweep",
-]
+__all__ = list(dict.fromkeys(
+    name for module in (geometry, closed_form, discretization, functionals, rigidity)
+    for name in module.__all__
+))

@@ -13,8 +13,9 @@ commands cover the package surface:
 Output is CSV or JSON (one object per row), written with full float
 precision so identical configs produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 verdict failure, 2 invalid config or unwritable
-output, 3 solver non-convergence (for ``rigidity``: on the start shape).
+Exit codes: 0 success, 1 verdict failure, 2 invalid config, unreadable or
+non-UTF-8 config file, or unwritable output, 3 solver non-convergence (for
+``rigidity``: on the start shape).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from .closed_form import radial_torsion_solution
 from .discretization import (
+    SOLVER_TOL,
     SolverConvergenceError,
     StarDomain,
     solve_torsion,
@@ -85,7 +87,7 @@ class RunConfig:
     sin_coeffs: dict = field(default_factory=dict)
     Ns: int = 64
     Ntheta: int = 128
-    tol: float = 1e-10
+    tol: float = SOLVER_TOL
     report_tol: float = 1e-2
     out: str | None = None
     format: str = "csv"
@@ -332,10 +334,8 @@ def _run_rigidity(cfg: RunConfig) -> int:
                + [f"a{k}" for k in range(1, cfg.modes + 1)]
                + [f"b{k}" for k in range(1, cfg.modes + 1)]
                + ["status"])
-    pad = (0.0,) * cfg.modes
     rows = [(row.index, row.evaluations, row.j, row.spread, row.r0,
-             *(row.cos_coeffs + pad)[:cfg.modes], *(row.sin_coeffs + pad)[:cfg.modes],
-             None) for row in trace.rows]
+             *row.cos_coeffs, *row.sin_coeffs, None) for row in trace.rows]
     if rows:
         rows[-1] = rows[-1][:-1] + (trace.status,)
     _emit(rows, columns, cfg)
@@ -399,9 +399,9 @@ def main(argv=None) -> int:
     text = ""
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read config file {path!r}: {exc}", file=sys.stderr)
             return 2
     try:

@@ -31,6 +31,7 @@ from .geometry import (
     QuadratureError,
     RadialJet,
     WarpingProfile,
+    _require_dimension,
     divergence_radial,
     laplacian_radial,
     newton_gap,
@@ -102,8 +103,7 @@ class RadialSolution:
     R: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValueError(f"dimension n must be an integer >= 2, got {self.n!r}")
+        _require_dimension(self.n)
         if not (math.isfinite(self.R) and 0.0 < self.R < self.profile.r_max):
             raise ValueError(
                 f"ball radius must lie in (0, {self.profile.r_max}), got {self.R!r}"

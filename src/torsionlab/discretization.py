@@ -1,8 +1,9 @@
 """Boundary-fitted finite differences for the torsion problem on star domains.
 
-The surface case (n = 2) of Lap u = n h_dot is discretized on star-shaped
-domains  {r < rho(theta)}  by mapping to the unit square in the coordinates
-(s, theta) with r = s rho(theta).  Design points:
+The grid solver is surface-only: it discretizes Lap u = 2 h_dot, the case
+n = 2 of Lap u = n h_dot, on star-shaped domains  {r < rho(theta)}  by
+mapping to the unit square in the coordinates (s, theta) with
+r = s rho(theta).  Design points:
 
   * staggered radial nodes s_j = (j - 1/2) / Ns keep every unknown off the
     pole, and the stencil arm that would cross the pole is redirected to the
@@ -43,6 +44,7 @@ __all__ = [
     "DiscreteField",
     "GradientField",
     "SolverConvergenceError",
+    "SOLVER_TOL",
     "build_grid",
     "assemble",
     "solve",
@@ -50,12 +52,16 @@ __all__ = [
     "gradient_field",
     "scalar_gradient",
     "neumann_trace",
+    "trace_moments",
     "boundary_radial_slope",
     "integrate",
 ]
 
 # Validation resolution for domain positivity and radius bounds.
 _VALIDATION_SAMPLES = 4096
+
+# Default bound on the verified scaled residual of ``solve``.
+SOLVER_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +216,6 @@ class LinearSystem:
     rhs: np.ndarray
     grid: Grid
     profile: WarpingProfile
-    n: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +225,6 @@ class DiscreteField:
     values: np.ndarray     # (ns, ntheta)
     grid: Grid
     profile: WarpingProfile
-    n: int
     residual: float = 0.0
     # Always 0: ``solve`` takes no refinement steps.  Kept only because
     # perfbench/layers.py:_solve_probe reads it for a per-layer metric.
@@ -265,9 +269,8 @@ def _mapped_coefficients(profile: WarpingProfile, grid: Grid):
     return A, B, C, D, hd
 
 
-def assemble(profile: WarpingProfile, domain: StarDomain, grid: Grid,
-             n: int = 2) -> LinearSystem:
-    """Sparse operator and right-hand side for Lap u = n h_dot, n = 2.
+def assemble(profile: WarpingProfile, grid: Grid) -> LinearSystem:
+    """Sparse operator and right-hand side for Lap u = 2 h_dot on ``grid.domain``.
 
     ``weights[1 + dj, 1 + di, j, i]`` is the arm from node (j, i) to
     (j + dj, i + di).  On the last ring each outer arm w is folded through
@@ -278,14 +281,10 @@ def assemble(profile: WarpingProfile, domain: StarDomain, grid: Grid,
     columns and become the CSR row as they stand, less their exact zeros
     (the folded arms, and the cross-derivative arms wherever rho' = 0).
     """
-    if n != 2:
-        raise ValueError(f"the grid solver covers the surface case n = 2, got n = {n}")
-    if grid.domain is not domain and np.max(np.abs(
-            grid.rho - domain.rho(grid.theta))) > 0.0:
-        raise ValueError("grid was built for a different domain")
-    if domain.max_radius >= profile.r_max:
+    max_radius = grid.domain.max_radius
+    if max_radius >= profile.r_max:
         raise ValueError(
-            f"domain radius {domain.max_radius:.6g} reaches the profile bound "
+            f"domain radius {max_radius:.6g} reaches the profile bound "
             f"r_max = {profile.r_max:.6g}"
         )
 
@@ -325,8 +324,8 @@ def assemble(profile: WarpingProfile, domain: StarDomain, grid: Grid,
     # SuperLU's ordering reads the stored pattern: keep it the true stencil.
     matrix.eliminate_zeros()
     matrix.sort_indices()
-    rhs = (n * hd).ravel()
-    return LinearSystem(matrix=matrix, rhs=rhs, grid=grid, profile=profile, n=n)
+    rhs = (2 * hd).ravel()
+    return LinearSystem(matrix=matrix, rhs=rhs, grid=grid, profile=profile)
 
 
 class _DiskFactor:
@@ -393,7 +392,7 @@ def _equilibrated(system: LinearSystem):
     return A, inv_max * system.rhs
 
 
-def solve(system: LinearSystem, tol: float = 1e-10) -> DiscreteField:
+def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
     """Direct solve, verified to true relative residual <= tol.
 
     Stencil weights near the pole exceed boundary weights by several orders
@@ -416,7 +415,7 @@ def solve(system: LinearSystem, tol: float = 1e-10) -> DiscreteField:
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return DiscreteField(values=np.zeros((system.grid.ns, system.grid.ntheta)),
-                             grid=system.grid, profile=system.profile, n=system.n)
+                             grid=system.grid, profile=system.profile)
 
     if _is_disk(system.grid):
         lu = _DiskFactor(A, system.grid.ntheta)
@@ -431,15 +430,13 @@ def solve(system: LinearSystem, tol: float = 1e-10) -> DiscreteField:
             residual=res,
         )
     return DiscreteField(values=x.reshape(system.grid.ns, system.grid.ntheta),
-                         grid=system.grid, profile=system.profile, n=system.n,
-                         residual=res)
+                         grid=system.grid, profile=system.profile, residual=res)
 
 
 def solve_torsion(profile: WarpingProfile, domain: StarDomain, ns: int,
-                  ntheta: int, tol: float = 1e-10) -> DiscreteField:
+                  ntheta: int, tol: float = SOLVER_TOL) -> DiscreteField:
     """Convenience wrapper: grid, assembly and solve in one call."""
-    grid = build_grid(domain, ns, ntheta)
-    return solve(assemble(profile, domain, grid), tol=tol)
+    return solve(assemble(profile, build_grid(domain, ns, ntheta)), tol=tol)
 
 
 def _padded(field_values: np.ndarray, grid: Grid, dirichlet: bool) -> np.ndarray:
@@ -457,6 +454,21 @@ def _padded(field_values: np.ndarray, grid: Grid, dirichlet: bool) -> np.ndarray
     else:
         ghost = 3.0 * u[-1] - 3.0 * u[-2] + u[-3]
     return np.vstack([pole, u, ghost])
+
+
+def _first_derivatives(padded: np.ndarray, grid: Grid):
+    """Centred first derivatives of a padded array, mapped back to (r, angle).
+
+    Returns (f_s, alpha, f_r, f_ang): the s-derivative, alpha = s rho'/rho,
+    the radial derivative f_s / rho and the physical-angle derivative
+    f_t - alpha f_s.
+    """
+    rho = grid.rho[None, :]
+    f_s = (padded[2:] - padded[:-2]) / (2.0 * grid.ds)
+    f_t = (np.roll(padded, -1, axis=1)[1:-1]
+           - np.roll(padded, 1, axis=1)[1:-1]) / (2.0 * grid.dtheta)
+    alpha = grid.s[:, None] * grid.drho[None, :] / rho
+    return f_s, alpha, f_s / rho, f_t - alpha * f_s
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,17 +502,13 @@ def gradient_field(field: DiscreteField) -> GradientField:
     hd = prof.h_dot(grid.r)
 
     U = _padded(field.values, grid, dirichlet=True)
-    u_s = (U[2:] - U[:-2]) / (2.0 * ds)
+    u_s, alpha, u_r, u_ang = _first_derivatives(U, grid)
     u_ss = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / ds ** 2
     Up = np.roll(U, -1, axis=1)
     Um = np.roll(U, 1, axis=1)
-    u_t = (Up[1:-1] - Um[1:-1]) / (2.0 * dt)
     u_tt = (Up[1:-1] - 2.0 * U[1:-1] + Um[1:-1]) / dt ** 2
     u_st = ((Up[2:] - Up[:-2]) - (Um[2:] - Um[:-2])) / (4.0 * ds * dt)
 
-    alpha = s * drho / rho
-    u_r = u_s / rho
-    u_ang = u_t - alpha * u_s                   # physical-angle first derivative
     u_tan = u_ang / hh
     grad_sq = u_r ** 2 + u_tan ** 2
 
@@ -527,18 +535,9 @@ def scalar_gradient(field: DiscreteField, values: np.ndarray):
     the standard second-order one-sided difference there.
     """
     grid = field.grid
-    ds, dt = grid.ds, grid.dtheta
-    rho = grid.rho[None, :]
-    s = grid.s[:, None]
-    hh = field.profile.h(grid.r)
-
     W = _padded(np.asarray(values, dtype=float), grid, dirichlet=False)
-    w_s = (W[2:] - W[:-2]) / (2.0 * ds)
-    w_t = (np.roll(W, -1, axis=1)[1:-1] - np.roll(W, 1, axis=1)[1:-1]) / (2.0 * dt)
-    alpha = s * grid.drho[None, :] / rho
-    w_r = w_s / rho
-    w_tan = (w_t - alpha * w_s) / hh
-    return w_r, w_tan
+    _, _, w_r, w_ang = _first_derivatives(W, grid)
+    return w_r, w_ang / field.profile.h(grid.r)
 
 
 def boundary_radial_slope(field: DiscreteField) -> np.ndarray:
@@ -561,6 +560,14 @@ def neumann_trace(field: DiscreteField):
     values = (u_s / rho) * np.sqrt(1.0 + (drho / h_b) ** 2)
     weights = np.sqrt(drho ** 2 + h_b ** 2) * grid.dtheta
     return values, weights
+
+
+def trace_moments(values, weights):
+    """Total weight, weighted mean and weighted variance of a boundary trace."""
+    total = float(np.sum(weights))
+    mean = float(np.sum(weights * values) / total)
+    var = float(np.sum(weights * (values - mean) ** 2) / total)
+    return total, mean, var
 
 
 def integrate(values, field: DiscreteField) -> float:

@@ -26,6 +26,7 @@ from .discretization import (
     integrate,
     neumann_trace,
     scalar_gradient,
+    trace_moments,
 )
 
 __all__ = [
@@ -105,7 +106,7 @@ def compute_catalog(solution) -> FunctionalCatalog:
 
 
 def _discrete_catalog(field: DiscreteField) -> FunctionalCatalog:
-    n = field.n
+    n = 2  # the grid solver is surface-only
     prof = field.profile
     grid = field.grid
     u = field.values
@@ -119,9 +120,7 @@ def _discrete_catalog(field: DiscreteField) -> FunctionalCatalog:
     g = gradient_field(field)
     trace, weights = neumann_trace(field)
 
-    bdry_measure = float(np.sum(weights))
-    c_mean = float(np.sum(weights * trace) / bdry_measure)
-    c_var = float(np.sum(weights * (trace - c_mean) ** 2) / bdry_measure)
+    bdry_measure, c_mean, c_var = trace_moments(trace, weights)
     # Tiny negative variances can fall out of weighted sums; clamp them.
     c_std = math.sqrt(max(c_var, 0.0))
 
@@ -290,8 +289,6 @@ def conformal_check(field: DiscreteField) -> np.ndarray:
         raise ValueError(
             f"conformal check is spherical-only, got profile {field.profile.kind!r}"
         )
-    if field.n != 2:
-        raise ValueError(f"conformal check needs n = 2, got n = {field.n}")
     cos_r = np.cos(field.grid.r)
     if np.any(np.abs(cos_r) < 1e-6):
         raise ValueError("domain reaches the equator; the ratio degenerates there")

@@ -34,6 +34,7 @@ __all__ = [
     "ricci_quadratic",
     "newton_gap",
     "sphere_area",
+    "QuadratureError",
 ]
 
 PROFILE_KINDS = ("euclidean", "spherical", "hyperbolic", "custom")

@@ -18,10 +18,12 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .discretization import (
+    SOLVER_TOL,
     SolverConvergenceError,
     StarDomain,
     neumann_trace,
     solve_torsion,
+    trace_moments,
 )
 from .geometry import WarpingProfile
 
@@ -63,7 +65,7 @@ class ShapeObjective:
 
 
 def neumann_deviation(domain: StarDomain, profile: WarpingProfile, ns: int,
-                      ntheta: int, tol: float = 1e-10) -> ShapeObjective:
+                      ntheta: int, tol: float = SOLVER_TOL) -> ShapeObjective:
     """Solve the torsion problem and measure how non-constant the trace is.
 
     J = (weighted variance of the Neumann trace) / (weighted mean)^2, a
@@ -72,9 +74,7 @@ def neumann_deviation(domain: StarDomain, profile: WarpingProfile, ns: int,
     """
     field = solve_torsion(profile, domain, ns, ntheta, tol=tol)
     values, weights = neumann_trace(field)
-    total = float(np.sum(weights))
-    mean = float(np.sum(weights * values) / total)
-    var = float(np.sum(weights * (values - mean) ** 2) / total)
+    total, mean, var = trace_moments(values, weights)
     return ShapeObjective(j=var / mean ** 2, c_mean=mean,
                           c_std=math.sqrt(max(var, 0.0)),
                           residuals=np.sqrt(weights / total) * (values - mean) / mean,
@@ -161,7 +161,7 @@ class _Stop(Exception):
 def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
                    budget: int, ns: int, ntheta: int, *,
                    target_j: float = 1e-7,
-                   solver_tol: float = 1e-10) -> OptimizationTrace:
+                   solver_tol: float = SOLVER_TOL) -> OptimizationTrace:
     """Gauss-Newton descent of J over (a_1..a_K, b_2..b_K) at fixed r0.
 
     J is the squared norm of the weighted trace residuals, so
@@ -242,7 +242,7 @@ class SweepRow:
 
 
 def sweep(family, profile: WarpingProfile, ns: int, ntheta: int,
-          tol: float = 1e-10) -> list:
+          tol: float = SOLVER_TOL) -> list:
     """Evaluate J over a parametrized family of domains.
 
     Rows come back in input order.  A solver failure on one member is

@@ -406,6 +406,15 @@ class TestMainArgv:
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"command = radial\nR0 = 0.5\xff\n")
+        rc = main([str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"cannot read config file {str(path)!r}")
+        assert err.count("\n") == 1
+
     def test_unwritable_output(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         rc = main(["--command", "radial", "--Ns", "8", "--out", str(out)])

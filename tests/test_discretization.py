@@ -23,6 +23,7 @@ from torsionlab import (
     make_profile,
     neumann_trace,
     offset_disk,
+    scalar_gradient,
     solve,
     solve_torsion,
 )
@@ -184,7 +185,7 @@ class TestAssemble:
     def test_euclidean_disk_reduces_to_polar_five_point(self):
         ball = StarDomain.ball(1.0)
         grid = build_grid(ball, 16, 32)
-        system = assemble(EUCLID, ball, grid)
+        system = assemble(EUCLID, grid)
         ds, dt = grid.ds, grid.dtheta
         j, i = 8, 5                     # generic interior node
         row = system.matrix.getrow(j * grid.ntheta + i)
@@ -205,7 +206,7 @@ class TestAssemble:
         # Staggered node s = 4.5/9 lands exactly at r = 0.3 on the 0.6-ball.
         ball = StarDomain.ball(0.6)
         grid = build_grid(ball, 9, 16)
-        system = assemble(SPHERE, ball, grid)
+        system = assemble(SPHERE, grid)
         assert grid.r[4, 0] == 0.3
         assert system.rhs[4 * 16] == pytest.approx(2.0 * math.cos(0.3), abs=1e-15)
         assert system.rhs[4 * 16] == pytest.approx(1.910672978251212, abs=1e-14)
@@ -214,7 +215,7 @@ class TestAssemble:
 
     def test_perturbed_domain_has_nine_point_rows(self):
         grid = build_grid(FLOWER, 16, 48)
-        system = assemble(SPHERE, FLOWER, grid)
+        system = assemble(SPHERE, grid)
         # drho vanishes only where sin(3 theta) = 0, i.e. every 8th angle.
         row = system.matrix.getrow(8 * 48 + 3)
         assert row.nnz == 9
@@ -229,7 +230,7 @@ class TestAssemble:
         for profile in (EUCLID, SPHERE, HYPER):
             for domain in (StarDomain.ball(1.0), FLOWER, offset_disk(1.0, 0.2)):
                 grid = build_grid(domain, ns, nt)
-                got = assemble(profile, domain, grid).matrix
+                got = assemble(profile, grid).matrix
                 want = reference_assembly(profile, grid)
                 case = (profile.kind, domain.modes)
                 assert np.array_equal(got.indptr, want.indptr), case
@@ -242,18 +243,7 @@ class TestAssemble:
         big = StarDomain.ball(2.0)
         grid = build_grid(big, 8, 16)
         with pytest.raises(ValueError):
-            assemble(SPHERE, big, grid)
-
-    def test_rejects_mismatched_grid(self):
-        grid = build_grid(FLOWER, 8, 16)
-        with pytest.raises(ValueError):
-            assemble(SPHERE, StarDomain.ball(0.5), grid)
-
-    def test_rejects_higher_dimension(self):
-        ball = StarDomain.ball(0.5)
-        grid = build_grid(ball, 8, 16)
-        with pytest.raises(ValueError):
-            assemble(SPHERE, ball, grid, n=3)
+            assemble(SPHERE, grid)
 
 
 class TestSolve:
@@ -280,7 +270,7 @@ class TestSolve:
 
     def test_nonconvergence_raises_with_diagnostics(self):
         ball = StarDomain.ball(1.0)
-        system = assemble(EUCLID, ball, build_grid(ball, 8, 16))
+        system = assemble(EUCLID, build_grid(ball, 8, 16))
         with pytest.raises(SolverConvergenceError) as info:
             solve(system, tol=1e-30)
         err = info.value
@@ -311,7 +301,7 @@ class TestSolve:
                             lambda A, nt: Counted(exact_disk(1.25 * A, nt)))
         monkeypatch.setattr(discretization, "splu",
                             lambda A, **kw: Counted(exact_splu(1.25 * A, **kw)))
-        system = assemble(EUCLID, domain, build_grid(domain, 8, 16))
+        system = assemble(EUCLID, build_grid(domain, 8, 16))
         with pytest.raises(SolverConvergenceError) as info:
             solve(system, tol=1e-10)
         assert info.value.residual > 1e-10
@@ -319,7 +309,7 @@ class TestSolve:
 
     def test_tolerance_validation(self):
         ball = StarDomain.ball(1.0)
-        system = assemble(EUCLID, ball, build_grid(ball, 8, 16))
+        system = assemble(EUCLID, build_grid(ball, 8, 16))
         with pytest.raises(ValueError):
             solve(system, tol=0.0)
 
@@ -370,7 +360,7 @@ class TestDiskFactor:
     def test_matches_sparse_lu(self, ns, nt):
         for profile, R in self.GEOMETRIES:
             ball = StarDomain.ball(R)
-            system = assemble(profile, ball, build_grid(ball, ns, nt))
+            system = assemble(profile, build_grid(ball, ns, nt))
             A, b = discretization._equilibrated(system)
             got = discretization._DiskFactor(A, nt).solve(b)
             want = discretization.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
@@ -412,7 +402,7 @@ class TestDiskFactor:
 
     def test_equilibration_matches_diagonal_scaling(self):
         domain = StarDomain(0.8, (0.05, 0.1), (0.0, 0.05))
-        system = assemble(SPHERE, domain, build_grid(domain, 16, 32))
+        system = assemble(SPHERE, build_grid(domain, 16, 32))
         row_max = np.abs(system.matrix).max(axis=1).toarray().ravel()
         scale = sp.diags(1.0 / row_max)
         want_A = (scale @ system.matrix).tocsr()
@@ -426,14 +416,14 @@ class TestGradientField:
         # Closed-form torsion values on the grid: u_r must reproduce h.
         grid = build_grid(StarDomain.ball(math.pi / 4), 64, 128)
         u = SPHERE.H(grid.r) - SPHERE.H(math.pi / 4)
-        g = gradient_field(DiscreteField(values=u, grid=grid, profile=SPHERE, n=2))
+        g = gradient_field(DiscreteField(values=u, grid=grid, profile=SPHERE))
         assert np.max(np.abs(g.u_r - SPHERE.h(grid.r))) < 1e-4
         assert np.max(np.abs(g.u_tan)) == 0.0
 
     def test_euclidean_quadratic_is_differentiated_exactly(self):
         grid = build_grid(StarDomain.ball(1.0), 32, 64)
         u = 0.5 * (grid.r ** 2 - 1.0)
-        g = gradient_field(DiscreteField(values=u, grid=grid, profile=EUCLID, n=2))
+        g = gradient_field(DiscreteField(values=u, grid=grid, profile=EUCLID))
         assert np.max(np.abs(g.u_r - grid.r)) < 1e-12
         assert np.max(np.abs(g.hess_rr - 1.0)) < 1e-10
         assert np.max(np.abs(g.hess_tt - 1.0)) < 1e-10
@@ -442,7 +432,7 @@ class TestGradientField:
     def test_radial_hessian_entries_near_r04(self):
         grid = build_grid(StarDomain.ball(math.pi / 4), 64, 128)
         u = SPHERE.H(grid.r) - SPHERE.H(math.pi / 4)
-        g = gradient_field(DiscreteField(values=u, grid=grid, profile=SPHERE, n=2))
+        g = gradient_field(DiscreteField(values=u, grid=grid, profile=SPHERE))
         j = int(np.argmin(np.abs(grid.r[:, 0] - 0.4)))
         r_node = grid.r[j, 0]
         assert abs(g.hess_rr[j, 0] - math.cos(0.4)) < 1e-3
@@ -462,7 +452,7 @@ class TestGradientField:
         grid = build_grid(StarDomain.ball(1.2), ns, nt)
         r, t = grid.r, grid.theta[None, :]
         v = np.sin(r) * np.cos(t)
-        g = gradient_field(DiscreteField(values=v, grid=grid, profile=SPHERE, n=2))
+        g = gradient_field(DiscreteField(values=v, grid=grid, profile=SPHERE))
         mask = (r >= 0.15) & (np.arange(ns)[:, None] < ns - 1)
 
         def err(got, want):
@@ -473,6 +463,14 @@ class TestGradientField:
         assert err(g.hess_rr, -np.sin(r) * np.cos(t)) < bound
         assert err(g.hess_rt, 0.0 * r) < bound
         assert err(g.hess_tt, -np.sin(r) * np.cos(t)) < bound
+
+    def test_scalar_gradient_matches_solution_gradient_off_the_ghost(self):
+        # The two differ only in the outer ghost, which ring ns - 1 reads.
+        field = solve_torsion(SPHERE, FLOWER, 16, 48)
+        g = gradient_field(field)
+        w_r, w_tan = scalar_gradient(field, field.values)
+        np.testing.assert_array_equal(w_r[:-1], g.u_r[:-1])
+        np.testing.assert_array_equal(w_tan[:-1], g.u_tan[:-1])
 
 
 class TestNeumannTrace:

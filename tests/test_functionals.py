@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import torsionlab
-from torsionlab import closed_form, functionals
+from torsionlab import closed_form, discretization, functionals, geometry, rigidity
 from torsionlab import (
     ANY_U,
     CONST_NEUMANN_CV_MAX,
@@ -26,6 +26,7 @@ from torsionlab import (
     conformal_check,
     identity_report,
     make_profile,
+    neumann_deviation,
     radial_torsion_solution,
     solve_torsion,
     sphere_reduction_check,
@@ -238,7 +239,7 @@ class TestConformalCheck:
     def test_injected_analytic_solution(self):
         grid = build_grid(StarDomain.ball(math.pi / 4), 64, 128)
         u = SPHERE.H(grid.r) - SPHERE.H(math.pi / 4)
-        field = DiscreteField(values=u, grid=grid, profile=SPHERE, n=2)
+        field = DiscreteField(values=u, grid=grid, profile=SPHERE)
         ratio = conformal_check(field)
         assert ratio.shape == (64, 128)
         assert np.max(np.abs(ratio - 2.0)) < 5e-3
@@ -252,25 +253,36 @@ class TestConformalCheck:
         with pytest.raises(ValueError):
             conformal_check(field)
 
-    def test_rejects_wrong_dimension(self, ball_field):
-        bad = DiscreteField(values=ball_field.values, grid=ball_field.grid,
-                            profile=SPHERE, n=3)
-        with pytest.raises(ValueError):
-            conformal_check(bad)
-
     def test_rejects_equator_nodes(self):
         # s = 0.5 node on the pi-ball sits exactly on the equator.
         grid = build_grid(StarDomain.ball(math.pi), 9, 16)
-        field = DiscreteField(values=np.zeros((9, 16)), grid=grid,
-                              profile=SPHERE, n=2)
+        field = DiscreteField(values=np.zeros((9, 16)), grid=grid, profile=SPHERE)
         with pytest.raises(ValueError):
             conformal_check(field)
+
+
+class TestSharedTraceMoments:
+    def test_deviation_and_catalog_agree_bitwise(self):
+        obj = neumann_deviation(FLOWER, SPHERE, 32, 64)
+        cat = compute_catalog(solve_torsion(SPHERE, FLOWER, 32, 64))
+        assert obj.c_mean == cat.c_mean
+        assert obj.c_std == cat.c_std
 
 
 class TestModuleLayout:
     def test_catalog_is_one_class(self):
         assert functionals.FunctionalCatalog is closed_form.FunctionalCatalog
         assert torsionlab.FunctionalCatalog is closed_form.FunctionalCatalog
+
+    def test_package_exports_are_the_module_exports(self):
+        modules = (geometry, closed_form, discretization, functionals, rigidity)
+        union = []
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(torsionlab, name) is getattr(module, name), name
+                if name not in union:
+                    union.append(name)
+        assert torsionlab.__all__ == union
 
     def test_package_imports_are_acyclic(self):
         """Relative imports among the modules, lazy ones included, form a DAG."""
