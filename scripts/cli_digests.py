@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Digest the CLI output of a fixed set of runs.
+
+Prints one line ``<run> <exit code> <sha256[:16]>`` per run, the digest
+being of the run's stdout.  The runs are solve, verify, radial and sweep in
+every geometry, two rigidity descents and the run configs in this
+directory, each in both output formats.
+``torsionlab`` is imported from this checkout's ``src``, so running the
+script in two checkouts and comparing the outputs shows whether a change
+keeps the CLI bytes:
+
+    python3 scripts/cli_digests.py > before.txt   # in the first checkout
+    python3 scripts/cli_digests.py > after.txt    # in the second
+    diff before.txt after.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent
+sys.path.insert(0, str(SCRIPTS.parent / "src"))
+
+from torsionlab.cli import main  # noqa: E402
+
+GRID = ["--Ns", "32", "--Ntheta", "64"]
+STAR = ["--a1", "0.05", "--b2", "0.1", "--a3", "-0.04"]
+# Each run is at R0 = 0.7; radial keeps the default Ns of 64 samples.
+GEOMETRY_RUNS = {
+    "solve": ["--command", "solve", *GRID],
+    "solve-star": ["--command", "solve", *GRID, *STAR],
+    "verify": ["--command", "verify", *GRID],
+    "verify-star": ["--command", "verify", *GRID, *STAR],
+    "radial": ["--command", "radial", "--n", "3"],
+    "sweep-ball": ["--command", "sweep", *GRID, "--family", "ball",
+                   "--family_values", "0.3,0.6,0.9"],
+    "sweep-offset": ["--command", "sweep", *GRID, "--family", "offset",
+                     "--family_values", "0,0.1"],
+}
+
+
+def runs():
+    """(name, argv) of every run, in print order."""
+    for geometry in ("euclidean", "spherical", "hyperbolic"):
+        for fmt in ("csv", "json"):
+            for name, args in GEOMETRY_RUNS.items():
+                yield (f"{geometry}/{name}/{fmt}",
+                       ["--geometry", geometry, "--R0", "0.7", *args,
+                        "--format", fmt])
+    for fmt in ("csv", "json"):
+        yield f"rigidity/{fmt}", ["--command", "rigidity", "--format", fmt]
+        yield (f"rigidity-16x32/{fmt}",
+               ["--command", "rigidity", "--Ns", "16", "--Ntheta", "32",
+                "--a1", "0.05", "--a2", "-0.06", "--b2", "0.04", "--format", fmt])
+    for path in sorted(SCRIPTS.glob("*.cfg")):
+        for fmt in ("csv", "json"):
+            yield f"{path.name}/{fmt}", [str(path), "--format", fmt]
+
+
+def digest(argv):
+    """Exit code and the first 16 hex digits of the stdout's sha256."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+
+
+if __name__ == "__main__":
+    for name, argv in runs():
+        code, hexdigest = digest(argv)
+        print(f"{name} {code} {hexdigest}", flush=True)

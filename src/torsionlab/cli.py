@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     text = ""
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read config file {path!r}: {exc}", file=sys.stderr)

@@ -5,6 +5,8 @@ n = 2 of Lap u = n h_dot, on star-shaped domains  {r < rho(theta)}  by
 mapping to the unit square in the coordinates (s, theta) with
 r = s rho(theta).  Design points:
 
+  * the grid carries the metric: ``build_grid`` evaluates h and h' at the
+    nodes and h on the boundary once, and every later step reads them;
   * staggered radial nodes s_j = (j - 1/2) / Ns keep every unknown off the
     pole, and the stencil arm that would cross the pole is redirected to the
     antipodal column, linking (s_1, theta) with (s_1, theta + pi);
@@ -71,7 +73,7 @@ class StarDomain:
     rho(theta) = r0 * (1 + sum_k a_k cos(k theta) + b_k sin(k theta)).
     Positivity of rho is checked on a dense angular grid at construction;
     geometry-specific radius caps (the hemisphere bound) are enforced where
-    a profile is available, i.e. at assembly time.
+    a profile is available, i.e. by ``build_grid``.
     """
 
     r0: float
@@ -173,8 +175,12 @@ class StarDomain:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Tensor grid on the mapped unit square, physical radii precomputed."""
+    """Discretization of (profile, domain) on the mapped unit square.
 
+    Carries the physical radii and the metric's h and h', evaluated once.
+    """
+
+    profile: WarpingProfile
     domain: StarDomain
     ns: int
     ntheta: int
@@ -184,6 +190,9 @@ class Grid:
     drho: np.ndarray
     d2rho: np.ndarray
     r: np.ndarray          # (ns, ntheta) physical radii s_j rho_i
+    h: np.ndarray          # (ns, ntheta) h(r) at the nodes
+    h_dot: np.ndarray      # (ns, ntheta) h'(r) at the nodes
+    h_boundary: np.ndarray  # (ntheta,) h(rho) on the boundary
     ds: float
     dtheta: float
 
@@ -192,7 +201,8 @@ class Grid:
         return self.ns * self.ntheta
 
 
-def build_grid(domain: StarDomain, ns: int, ntheta: int) -> Grid:
+def build_grid(profile: WarpingProfile, domain: StarDomain, ns: int,
+               ntheta: int) -> Grid:
     """Staggered polar grid: s_j = (j - 1/2)/ns, theta_i = 2 pi i / ntheta."""
     if ns < 8:
         raise ValueError(f"ns must be at least 8, got {ns}")
@@ -200,13 +210,20 @@ def build_grid(domain: StarDomain, ns: int, ntheta: int) -> Grid:
         raise ValueError(f"ntheta must be at least 16, got {ntheta}")
     if ntheta % 2:
         raise ValueError(f"ntheta must be even for the antipodal pole coupling, got {ntheta}")
+    if domain.max_radius >= profile.r_max:
+        raise ValueError(
+            f"domain radius {domain.max_radius:.6g} reaches the profile bound "
+            f"r_max = {profile.r_max:.6g}"
+        )
     s = (np.arange(1, ns + 1) - 0.5) / ns
     theta = 2.0 * math.pi * np.arange(ntheta) / ntheta
     rho = domain.rho(theta)
+    r = np.outer(s, rho)
     return Grid(
-        domain=domain, ns=ns, ntheta=ntheta, s=s, theta=theta,
-        rho=rho, drho=domain.drho(theta), d2rho=domain.d2rho(theta),
-        r=np.outer(s, rho), ds=1.0 / ns, dtheta=2.0 * math.pi / ntheta,
+        profile=profile, domain=domain, ns=ns, ntheta=ntheta, s=s, theta=theta,
+        rho=rho, drho=domain.drho(theta), d2rho=domain.d2rho(theta), r=r,
+        h=profile.h(r), h_dot=profile.h_dot(r), h_boundary=profile.h(rho),
+        ds=1.0 / ns, dtheta=2.0 * math.pi / ntheta,
     )
 
 
@@ -215,7 +232,6 @@ class LinearSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     grid: Grid
-    profile: WarpingProfile
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,11 +240,14 @@ class DiscreteField:
 
     values: np.ndarray     # (ns, ntheta)
     grid: Grid
-    profile: WarpingProfile
     residual: float = 0.0
     # Always 0: ``solve`` takes no refinement steps.  Kept only because
     # perfbench/layers.py:_solve_probe reads it for a per-layer metric.
     iterations: int = 0
+
+    @property
+    def profile(self) -> WarpingProfile:
+        return self.grid.profile
 
     @property
     def domain(self) -> StarDomain:
@@ -243,7 +262,7 @@ class SolverConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _mapped_coefficients(profile: WarpingProfile, grid: Grid):
+def _mapped_coefficients(grid: Grid):
     """Chain-rule coefficients of the operator in (s, theta) coordinates.
 
     With r = s rho(theta) the surface Laplacian u_rr + (h'/h) u_r
@@ -256,9 +275,7 @@ def _mapped_coefficients(profile: WarpingProfile, grid: Grid):
     """
     rho, drho, d2rho = grid.rho, grid.drho, grid.d2rho
     s = grid.s[:, None]
-    r = grid.r
-    hh = profile.h(r)
-    hd = profile.h_dot(r)
+    hh, hd = grid.h, grid.h_dot
     alpha = s * (drho / rho)[None, :]
     inv_h2 = 1.0 / (hh * hh)
     A = 1.0 / rho[None, :] ** 2 + alpha * alpha * inv_h2
@@ -266,10 +283,10 @@ def _mapped_coefficients(profile: WarpingProfile, grid: Grid):
     C = inv_h2
     D = (hd / hh) / rho[None, :] \
         - s * (d2rho / rho - 2.0 * (drho / rho) ** 2)[None, :] * inv_h2
-    return A, B, C, D, hd
+    return A, B, C, D
 
 
-def assemble(profile: WarpingProfile, grid: Grid) -> LinearSystem:
+def assemble(grid: Grid) -> LinearSystem:
     """Sparse operator and right-hand side for Lap u = 2 h_dot on ``grid.domain``.
 
     ``weights[1 + dj, 1 + di, j, i]`` is the arm from node (j, i) to
@@ -281,16 +298,9 @@ def assemble(profile: WarpingProfile, grid: Grid) -> LinearSystem:
     columns and become the CSR row as they stand, less their exact zeros
     (the folded arms, and the cross-derivative arms wherever rho' = 0).
     """
-    max_radius = grid.domain.max_radius
-    if max_radius >= profile.r_max:
-        raise ValueError(
-            f"domain radius {max_radius:.6g} reaches the profile bound "
-            f"r_max = {profile.r_max:.6g}"
-        )
-
     ns, nt = grid.ns, grid.ntheta
     ds, dt = grid.ds, grid.dtheta
-    A, B, C, D, hd = _mapped_coefficients(profile, grid)
+    A, B, C, D = _mapped_coefficients(grid)
 
     corner = B / (4.0 * ds * dt)
     weights = np.empty((3, 3, ns, nt))
@@ -324,8 +334,8 @@ def assemble(profile: WarpingProfile, grid: Grid) -> LinearSystem:
     # SuperLU's ordering reads the stored pattern: keep it the true stencil.
     matrix.eliminate_zeros()
     matrix.sort_indices()
-    rhs = (2 * hd).ravel()
-    return LinearSystem(matrix=matrix, rhs=rhs, grid=grid, profile=profile)
+    rhs = (2 * grid.h_dot).ravel()
+    return LinearSystem(matrix=matrix, rhs=rhs, grid=grid)
 
 
 class _DiskFactor:
@@ -415,7 +425,7 @@ def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return DiscreteField(values=np.zeros((system.grid.ns, system.grid.ntheta)),
-                             grid=system.grid, profile=system.profile)
+                             grid=system.grid)
 
     if _is_disk(system.grid):
         lu = _DiskFactor(A, system.grid.ntheta)
@@ -430,13 +440,13 @@ def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
             residual=res,
         )
     return DiscreteField(values=x.reshape(system.grid.ns, system.grid.ntheta),
-                         grid=system.grid, profile=system.profile, residual=res)
+                         grid=system.grid, residual=res)
 
 
 def solve_torsion(profile: WarpingProfile, domain: StarDomain, ns: int,
                   ntheta: int, tol: float = SOLVER_TOL) -> DiscreteField:
     """Convenience wrapper: grid, assembly and solve in one call."""
-    return solve(assemble(profile, build_grid(domain, ns, ntheta)), tol=tol)
+    return solve(assemble(build_grid(profile, domain, ns, ntheta)), tol=tol)
 
 
 def _padded(field_values: np.ndarray, grid: Grid, dirichlet: bool) -> np.ndarray:
@@ -492,14 +502,12 @@ def gradient_field(field: DiscreteField) -> GradientField:
     right-hand side up to the solver residual.
     """
     grid = field.grid
-    prof = field.profile
     ds, dt = grid.ds, grid.dtheta
     rho = grid.rho[None, :]
     drho = grid.drho[None, :]
     d2rho = grid.d2rho[None, :]
     s = grid.s[:, None]
-    hh = prof.h(grid.r)
-    hd = prof.h_dot(grid.r)
+    hh, hd = grid.h, grid.h_dot
 
     U = _padded(field.values, grid, dirichlet=True)
     u_s, alpha, u_r, u_ang = _first_derivatives(U, grid)
@@ -537,7 +545,7 @@ def scalar_gradient(field: DiscreteField, values: np.ndarray):
     grid = field.grid
     W = _padded(np.asarray(values, dtype=float), grid, dirichlet=False)
     _, _, w_r, w_ang = _first_derivatives(W, grid)
-    return w_r, w_ang / field.profile.h(grid.r)
+    return w_r, w_ang / grid.h
 
 
 def boundary_radial_slope(field: DiscreteField) -> np.ndarray:
@@ -554,8 +562,7 @@ def neumann_trace(field: DiscreteField):
     is the boundary measure.
     """
     grid = field.grid
-    rho, drho = grid.rho, grid.drho
-    h_b = field.profile.h(rho)
+    rho, drho, h_b = grid.rho, grid.drho, grid.h_boundary
     u_s = boundary_radial_slope(field)
     values = (u_s / rho) * np.sqrt(1.0 + (drho / h_b) ** 2)
     weights = np.sqrt(drho ** 2 + h_b ** 2) * grid.dtheta
@@ -573,6 +580,5 @@ def trace_moments(values, weights):
 def integrate(values, field: DiscreteField) -> float:
     """Midpoint-rule volume integral: sum f h(r) rho dtheta ds."""
     grid = field.grid
-    h_r = field.profile.h(grid.r)
     cell = grid.ds * grid.dtheta
-    return float(np.sum(np.asarray(values) * h_r * grid.rho[None, :]) * cell)
+    return float(np.sum(np.asarray(values) * grid.h * grid.rho[None, :]) * cell)

@@ -113,8 +113,7 @@ def _discrete_catalog(field: DiscreteField) -> FunctionalCatalog:
     mu = -u
 
     r = grid.r
-    hh = prof.h(r)
-    hd = prof.h_dot(r)
+    hh, hd = grid.h, grid.h_dot
     hdd = prof.h_ddot(r)
 
     g = gradient_field(field)
@@ -159,8 +158,7 @@ def _discrete_catalog(field: DiscreteField) -> FunctionalCatalog:
     # Pohozaev balance: boundary flux of |Du|^2/2 X - h u_r Du against its
     # divergence.  On the boundary the tangential derivative of u vanishes,
     # so |Du|^2 there is the squared Neumann trace.
-    rho = grid.rho
-    h_b = prof.h(rho)
+    rho, h_b = grid.rho, grid.h_boundary
     u_s_b = boundary_radial_slope(field)
     u_r_b = u_s_b / rho
     x_dot_nu = h_b / np.sqrt(1.0 + (grid.drho / h_b) ** 2)
@@ -284,13 +282,11 @@ def conformal_check(field: DiscreteField) -> np.ndarray:
     For the torsion equation on the hemisphere (n = 2) the ratio is
     identically 2, which is the scalar form of a conformal rigidity
     statement; the Laplacian is rebuilt from the discrete Hessian trace.
+    cos r is the grid's h', positive since the grid lies in the hemisphere.
     """
     if field.profile.kind != "spherical":
         raise ValueError(
             f"conformal check is spherical-only, got profile {field.profile.kind!r}"
         )
-    cos_r = np.cos(field.grid.r)
-    if np.any(np.abs(cos_r) < 1e-6):
-        raise ValueError("domain reaches the equator; the ratio degenerates there")
     g = gradient_field(field)
-    return g.laplacian / cos_r
+    return g.laplacian / field.grid.h_dot

@@ -59,9 +59,6 @@ class ShapeObjective:
     c_mean: float
     c_std: float
     residuals: np.ndarray
-    domain: StarDomain
-    ns: int
-    ntheta: int
 
 
 def neumann_deviation(domain: StarDomain, profile: WarpingProfile, ns: int,
@@ -77,8 +74,7 @@ def neumann_deviation(domain: StarDomain, profile: WarpingProfile, ns: int,
     total, mean, var = trace_moments(values, weights)
     return ShapeObjective(j=var / mean ** 2, c_mean=mean,
                           c_std=math.sqrt(max(var, 0.0)),
-                          residuals=np.sqrt(weights / total) * (values - mean) / mean,
-                          domain=domain, ns=ns, ntheta=ntheta)
+                          residuals=np.sqrt(weights / total) * (values - mean) / mean)
 
 
 def offset_disk(radius: float, offset: float, modes: int = 24) -> StarDomain:

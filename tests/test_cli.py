@@ -415,6 +415,18 @@ class TestMainArgv:
         assert err.startswith(f"cannot read config file {str(path)!r}")
         assert err.count("\n") == 1
 
+    def test_config_with_byte_order_mark(self, tmp_path, capsys):
+        body = b"command = radial\nR0 = 0.5\nNs = 8\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        assert main([str(plain)]) == 0
+        want = capsys.readouterr().out
+        rc = main([str(marked)])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert captured.out == want
+
     def test_unwritable_output(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         rc = main(["--command", "radial", "--Ns", "8", "--out", str(out)])

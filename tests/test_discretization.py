@@ -40,7 +40,7 @@ def offset_disk_function(R, d):
     return lambda t: d * math.cos(t) + math.sqrt(R * R - d * d * math.sin(t) ** 2)
 
 
-def reference_assembly(profile, grid):
+def reference_assembly(grid):
     """The operator built arm by arm through COO triplets.
 
     Each of the nine arms is pushed with boolean masks for the pole and the
@@ -48,7 +48,7 @@ def reference_assembly(profile, grid):
     """
     ns, nt = grid.ns, grid.ntheta
     ds, dt = grid.ds, grid.dtheta
-    A, B, C, D, _ = discretization._mapped_coefficients(profile, grid)
+    A, B, C, D = discretization._mapped_coefficients(grid)
     w_center = -2.0 * A / ds ** 2 - 2.0 * C / dt ** 2
     w_jp = A / ds ** 2 + D / (2.0 * ds)
     w_jm = A / ds ** 2 - D / (2.0 * ds)
@@ -150,23 +150,23 @@ class TestStarDomain:
 
 class TestBuildGrid:
     def test_node_count_and_first_radius(self):
-        grid = build_grid(StarDomain.ball(1.0), 8, 16)
+        grid = build_grid(EUCLID, StarDomain.ball(1.0), 8, 16)
         assert grid.size == 128
         assert grid.s[0] == 1.0 / 16.0
         assert grid.r[0, 0] == 1.0 / 16.0
 
     def test_outermost_node_placement(self):
-        grid = build_grid(StarDomain.ball(1.0), 32, 64)
+        grid = build_grid(EUCLID, StarDomain.ball(1.0), 32, 64)
         assert grid.s[31] == 0.984375
         assert grid.r[31, 0] == 0.984375 * grid.rho[0]
 
     def test_flower_max_radius(self):
-        grid = build_grid(FLOWER, 16, 48)
+        grid = build_grid(EUCLID, FLOWER, 16, 48)
         assert np.max(grid.r) == pytest.approx(0.92 * 31.0 / 32.0, abs=1e-12)
         assert np.max(grid.r) == pytest.approx(0.89125, abs=1e-12)
 
     def test_angles_are_uniform_and_pole_free(self):
-        grid = build_grid(FLOWER, 16, 48)
+        grid = build_grid(EUCLID, FLOWER, 16, 48)
         assert grid.theta[0] == 0.0
         assert grid.dtheta == pytest.approx(2 * math.pi / 48)
         assert np.min(grid.r) > 0.0
@@ -174,18 +174,18 @@ class TestBuildGrid:
     def test_size_validation(self):
         ball = StarDomain.ball(1.0)
         with pytest.raises(ValueError):
-            build_grid(ball, 7, 16)
+            build_grid(EUCLID, ball, 7, 16)
         with pytest.raises(ValueError):
-            build_grid(ball, 8, 14)
+            build_grid(EUCLID, ball, 8, 14)
         with pytest.raises(ValueError):
-            build_grid(ball, 8, 17)
+            build_grid(EUCLID, ball, 8, 17)
 
 
 class TestAssemble:
     def test_euclidean_disk_reduces_to_polar_five_point(self):
         ball = StarDomain.ball(1.0)
-        grid = build_grid(ball, 16, 32)
-        system = assemble(EUCLID, grid)
+        grid = build_grid(EUCLID, ball, 16, 32)
+        system = assemble(grid)
         ds, dt = grid.ds, grid.dtheta
         j, i = 8, 5                     # generic interior node
         row = system.matrix.getrow(j * grid.ntheta + i)
@@ -205,8 +205,8 @@ class TestAssemble:
     def test_rhs_is_n_hdot_at_nodes(self):
         # Staggered node s = 4.5/9 lands exactly at r = 0.3 on the 0.6-ball.
         ball = StarDomain.ball(0.6)
-        grid = build_grid(ball, 9, 16)
-        system = assemble(SPHERE, grid)
+        grid = build_grid(SPHERE, ball, 9, 16)
+        system = assemble(grid)
         assert grid.r[4, 0] == 0.3
         assert system.rhs[4 * 16] == pytest.approx(2.0 * math.cos(0.3), abs=1e-15)
         assert system.rhs[4 * 16] == pytest.approx(1.910672978251212, abs=1e-14)
@@ -214,8 +214,8 @@ class TestAssemble:
             system.rhs, (2.0 * SPHERE.h_dot(grid.r)).ravel())
 
     def test_perturbed_domain_has_nine_point_rows(self):
-        grid = build_grid(FLOWER, 16, 48)
-        system = assemble(SPHERE, grid)
+        grid = build_grid(SPHERE, FLOWER, 16, 48)
+        system = assemble(grid)
         # drho vanishes only where sin(3 theta) = 0, i.e. every 8th angle.
         row = system.matrix.getrow(8 * 48 + 3)
         assert row.nnz == 9
@@ -229,9 +229,9 @@ class TestAssemble:
         # rho' = 0) must stay dropped.
         for profile in (EUCLID, SPHERE, HYPER):
             for domain in (StarDomain.ball(1.0), FLOWER, offset_disk(1.0, 0.2)):
-                grid = build_grid(domain, ns, nt)
-                got = assemble(profile, grid).matrix
-                want = reference_assembly(profile, grid)
+                grid = build_grid(profile, domain, ns, nt)
+                got = assemble(grid).matrix
+                want = reference_assembly(grid)
                 case = (profile.kind, domain.modes)
                 assert np.array_equal(got.indptr, want.indptr), case
                 assert np.array_equal(got.indices, want.indices), case
@@ -241,9 +241,8 @@ class TestAssemble:
 
     def test_rejects_domain_reaching_profile_bound(self):
         big = StarDomain.ball(2.0)
-        grid = build_grid(big, 8, 16)
-        with pytest.raises(ValueError):
-            assemble(SPHERE, grid)
+        with pytest.raises(ValueError, match="reaches the profile bound"):
+            build_grid(SPHERE, big, 8, 16)
 
 
 class TestSolve:
@@ -270,7 +269,7 @@ class TestSolve:
 
     def test_nonconvergence_raises_with_diagnostics(self):
         ball = StarDomain.ball(1.0)
-        system = assemble(EUCLID, build_grid(ball, 8, 16))
+        system = assemble(build_grid(EUCLID, ball, 8, 16))
         with pytest.raises(SolverConvergenceError) as info:
             solve(system, tol=1e-30)
         err = info.value
@@ -301,7 +300,7 @@ class TestSolve:
                             lambda A, nt: Counted(exact_disk(1.25 * A, nt)))
         monkeypatch.setattr(discretization, "splu",
                             lambda A, **kw: Counted(exact_splu(1.25 * A, **kw)))
-        system = assemble(EUCLID, build_grid(domain, 8, 16))
+        system = assemble(build_grid(EUCLID, domain, 8, 16))
         with pytest.raises(SolverConvergenceError) as info:
             solve(system, tol=1e-10)
         assert info.value.residual > 1e-10
@@ -309,7 +308,7 @@ class TestSolve:
 
     def test_tolerance_validation(self):
         ball = StarDomain.ball(1.0)
-        system = assemble(EUCLID, build_grid(ball, 8, 16))
+        system = assemble(build_grid(EUCLID, ball, 8, 16))
         with pytest.raises(ValueError):
             solve(system, tol=0.0)
 
@@ -360,7 +359,7 @@ class TestDiskFactor:
     def test_matches_sparse_lu(self, ns, nt):
         for profile, R in self.GEOMETRIES:
             ball = StarDomain.ball(R)
-            system = assemble(profile, build_grid(ball, ns, nt))
+            system = assemble(build_grid(profile, ball, ns, nt))
             A, b = discretization._equilibrated(system)
             got = discretization._DiskFactor(A, nt).solve(b)
             want = discretization.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
@@ -402,7 +401,7 @@ class TestDiskFactor:
 
     def test_equilibration_matches_diagonal_scaling(self):
         domain = StarDomain(0.8, (0.05, 0.1), (0.0, 0.05))
-        system = assemble(SPHERE, build_grid(domain, 16, 32))
+        system = assemble(build_grid(SPHERE, domain, 16, 32))
         row_max = np.abs(system.matrix).max(axis=1).toarray().ravel()
         scale = sp.diags(1.0 / row_max)
         want_A = (scale @ system.matrix).tocsr()
@@ -414,25 +413,25 @@ class TestDiskFactor:
 class TestGradientField:
     def test_injected_radial_solution_gradient(self):
         # Closed-form torsion values on the grid: u_r must reproduce h.
-        grid = build_grid(StarDomain.ball(math.pi / 4), 64, 128)
+        grid = build_grid(SPHERE, StarDomain.ball(math.pi / 4), 64, 128)
         u = SPHERE.H(grid.r) - SPHERE.H(math.pi / 4)
-        g = gradient_field(DiscreteField(values=u, grid=grid, profile=SPHERE))
+        g = gradient_field(DiscreteField(values=u, grid=grid))
         assert np.max(np.abs(g.u_r - SPHERE.h(grid.r))) < 1e-4
         assert np.max(np.abs(g.u_tan)) == 0.0
 
     def test_euclidean_quadratic_is_differentiated_exactly(self):
-        grid = build_grid(StarDomain.ball(1.0), 32, 64)
+        grid = build_grid(EUCLID, StarDomain.ball(1.0), 32, 64)
         u = 0.5 * (grid.r ** 2 - 1.0)
-        g = gradient_field(DiscreteField(values=u, grid=grid, profile=EUCLID))
+        g = gradient_field(DiscreteField(values=u, grid=grid))
         assert np.max(np.abs(g.u_r - grid.r)) < 1e-12
         assert np.max(np.abs(g.hess_rr - 1.0)) < 1e-10
         assert np.max(np.abs(g.hess_tt - 1.0)) < 1e-10
         assert np.max(np.abs(g.laplacian - 2.0)) < 1e-10
 
     def test_radial_hessian_entries_near_r04(self):
-        grid = build_grid(StarDomain.ball(math.pi / 4), 64, 128)
+        grid = build_grid(SPHERE, StarDomain.ball(math.pi / 4), 64, 128)
         u = SPHERE.H(grid.r) - SPHERE.H(math.pi / 4)
-        g = gradient_field(DiscreteField(values=u, grid=grid, profile=SPHERE))
+        g = gradient_field(DiscreteField(values=u, grid=grid))
         j = int(np.argmin(np.abs(grid.r[:, 0] - 0.4)))
         r_node = grid.r[j, 0]
         assert abs(g.hess_rr[j, 0] - math.cos(0.4)) < 1e-3
@@ -449,10 +448,10 @@ class TestGradientField:
         # one order for pointwise Hessians (integrals never see this, the
         # volume form vanishes at the pole).  Outer ring excluded: the ghost
         # assumes Dirichlet data, which v does not satisfy.
-        grid = build_grid(StarDomain.ball(1.2), ns, nt)
+        grid = build_grid(SPHERE, StarDomain.ball(1.2), ns, nt)
         r, t = grid.r, grid.theta[None, :]
         v = np.sin(r) * np.cos(t)
-        g = gradient_field(DiscreteField(values=v, grid=grid, profile=SPHERE))
+        g = gradient_field(DiscreteField(values=v, grid=grid))
         mask = (r >= 0.15) & (np.arange(ns)[:, None] < ns - 1)
 
         def err(got, want):

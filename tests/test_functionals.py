@@ -5,8 +5,10 @@ Discrete-path tolerances were frozen from a refinement study; closed-form
 """
 
 import ast
+import dataclasses
 import graphlib
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -237,9 +239,9 @@ class TestSphereReduction:
 
 class TestConformalCheck:
     def test_injected_analytic_solution(self):
-        grid = build_grid(StarDomain.ball(math.pi / 4), 64, 128)
+        grid = build_grid(SPHERE, StarDomain.ball(math.pi / 4), 64, 128)
         u = SPHERE.H(grid.r) - SPHERE.H(math.pi / 4)
-        field = DiscreteField(values=u, grid=grid, profile=SPHERE)
+        field = DiscreteField(values=u, grid=grid)
         ratio = conformal_check(field)
         assert ratio.shape == (64, 128)
         assert np.max(np.abs(ratio - 2.0)) < 5e-3
@@ -253,12 +255,34 @@ class TestConformalCheck:
         with pytest.raises(ValueError):
             conformal_check(field)
 
-    def test_rejects_equator_nodes(self):
-        # s = 0.5 node on the pi-ball sits exactly on the equator.
-        grid = build_grid(StarDomain.ball(math.pi), 9, 16)
-        field = DiscreteField(values=np.zeros((9, 16)), grid=grid, profile=SPHERE)
-        with pytest.raises(ValueError):
-            conformal_check(field)
+
+class TestMetricEvaluations:
+    def test_grid_evaluates_h_and_h_dot_once(self):
+        # Every node evaluation of the h family, by the function that made
+        # it.  ricci_quadratic is shared with the closed-form path and
+        # evaluates its own.
+        callers = {"h": [], "h_dot": [], "h_ddot": []}
+
+        def counted(name):
+            fn = getattr(SPHERE, name)
+
+            def wrapper(r):
+                if np.ndim(r) == 2:
+                    callers[name].append(sys._getframe(1).f_code.co_name)
+                return fn(r)
+            return wrapper
+
+        profile = dataclasses.replace(SPHERE, **{k: counted(k) for k in callers})
+        field = solve_torsion(profile, FLOWER, 16, 32)
+        compute_catalog(field)
+        assert callers == {"h": ["build_grid", "ricci_quadratic"],
+                           "h_dot": ["build_grid", "ricci_quadratic"],
+                           "h_ddot": ["_discrete_catalog", "ricci_quadratic"]}
+        grid = field.grid
+        assert field.profile is grid.profile is profile
+        np.testing.assert_array_equal(grid.h, SPHERE.h(grid.r))
+        np.testing.assert_array_equal(grid.h_dot, SPHERE.h_dot(grid.r))
+        np.testing.assert_array_equal(grid.h_boundary, SPHERE.h(grid.rho))
 
 
 class TestSharedTraceMoments:

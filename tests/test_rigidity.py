@@ -66,7 +66,6 @@ class TestNeumannDeviation:
         assert obj.j >= 0.0
         assert obj.c_std == pytest.approx(math.sqrt(obj.j) * abs(obj.c_mean),
                                           rel=1e-12)
-        assert obj.ns == 32 and obj.ntheta == 64
 
     def test_residuals_square_to_j(self):
         obj = neumann_deviation(StarDomain(0.8, (0.1,), (0.0, 0.05)), SPHERE, 32, 64)

@@ -3,12 +3,14 @@
 ``convergence_study.py`` runs once as a subprocess at a tiny grid and must
 exit 0 without a traceback; an argument the library rejects must end in an
 argparse usage error (exit 2), run in-process through ``runpy`` because it
-never reaches a solve.  Each ``*.cfg`` must parse to the study's inputs and
-run through ``cli.main`` at a tiny grid.
+never reaches a solve.  ``cli_digests.py`` runs in-process too and must
+digest all of its runs with exit 0.  Each ``*.cfg`` must parse to the
+study's inputs and run through ``cli.main`` at a tiny grid.
 """
 
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -50,6 +52,17 @@ def test_rejected_argument_is_a_usage_error(script, args, message, monkeypatch,
     assert err.startswith("usage:")
     assert message in err
     assert "Traceback" not in err
+
+
+def test_cli_digests_cover_every_run(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["cli_digests.py"])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    runpy.run_path(str(SCRIPTS / "cli_digests.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 52
+    assert len({line.split()[0] for line in lines}) == 52
+    for line in lines:
+        assert re.fullmatch(r"\S+ 0 [0-9a-f]{16}", line), line
 
 
 CONTRAST = dict(command="sweep", family="offset",
