@@ -2,9 +2,9 @@
 """Digest the CLI output of a fixed set of runs.
 
 Prints one line ``<run> <exit code> <sha256[:16]>`` per run, the digest
-being of the run's stdout.  The runs are solve, verify, radial and sweep in
-every geometry, two rigidity descents and the run configs in this
-directory, each in both output formats.
+being of the run's stdout.  The runs are solve, verify, radial (at n = 2,
+3 and 5) and sweep in every geometry, two rigidity descents and the run
+configs in this directory, each in both output formats.
 ``torsionlab`` is imported from this checkout's ``src``, so running the
 script in two checkouts and comparing the outputs shows whether a change
 keeps the CLI bytes:
@@ -34,6 +34,8 @@ GEOMETRY_RUNS = {
     "verify": ["--command", "verify", *GRID],
     "verify-star": ["--command", "verify", *GRID, *STAR],
     "radial": ["--command", "radial", "--n", "3"],
+    "radial-n2": ["--command", "radial", "--n", "2"],
+    "radial-n5": ["--command", "radial", "--n", "5"],
     "sweep-ball": ["--command", "sweep", *GRID, "--family", "ball",
                    "--family_values", "0.3,0.6,0.9"],
     "sweep-offset": ["--command", "sweep", *GRID, "--family", "offset",

@@ -20,13 +20,12 @@ from torsionlab import (
     neumann_trace,
     solve_torsion,
 )
-from torsionlab.cli import RunConfig
+from torsionlab.cli import GEOMETRIES, RunConfig
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--geometry", default="spherical",
-                    choices=("euclidean", "spherical", "hyperbolic"))
+    ap.add_argument("--geometry", default="spherical", choices=GEOMETRIES)
     ap.add_argument("--radius", type=float, default=math.pi / 4)
     ap.add_argument("--base-ns", type=int, default=16)
     ap.add_argument("--levels", type=int, default=4)

@@ -38,6 +38,7 @@ from .geometry import (
     radial_hessian,
     ricci_quadratic,
     sphere_area,
+    warping_jet,
 )
 
 __all__ = [
@@ -135,9 +136,8 @@ def radial_torsion_solution(profile: WarpingProfile, n: int, R: float) -> Radial
     return RadialSolution(profile=profile, n=n, R=float(R))
 
 
-def _jet_of_u(sol: RadialSolution, r) -> RadialJet:
-    p = sol.profile
-    return RadialJet(float(sol.u(r)), float(p.h(r)), float(p.h_dot(r)))
+def _jet_of_u(sol: RadialSolution, r, w: RadialJet) -> RadialJet:
+    return RadialJet(float(sol.u(r)), float(w.value), float(w.d1))
 
 
 def bochner_residual(sol: RadialSolution, r) -> float:
@@ -148,21 +148,20 @@ def bochner_residual(sol: RadialSolution, r) -> float:
     returned number is pure floating-point noise.
     """
     sol._check_radius(r)
-    p, n = sol.profile, sol.n
-    hh = float(p.h(r))
-    hd = float(p.h_dot(r))
-    hdd = float(p.h_ddot(r))
+    n = sol.n
+    w = warping_jet(sol.profile, r)
+    hh, hd, hdd = float(w.value), float(w.d1), float(w.d2)
 
     # |Du|^2 = h^2; feed its half-jet through the radial Laplacian.
     half_grad_sq = RadialJet(0.5 * hh * hh, hh * hd, hd * hd + hh * hdd)
-    half_lap_grad_sq = laplacian_radial(p, n, half_grad_sq, r)
+    half_lap_grad_sq = laplacian_radial(n, w, half_grad_sq)
 
-    rad, ang = radial_hessian(p, _jet_of_u(sol, r), r)
+    rad, ang = radial_hessian(w, _jet_of_u(sol, r, w))
     hess_sq = rad * rad + (n - 1) * ang * ang
 
     # Lap u = n h_dot, so D(Lap u) = n h_ddot d/dr and Du = h d/dr.
     drift = n * hdd * hh
-    ricci = ricci_quadratic(p, n, r, hh, 0.0)
+    ricci = ricci_quadratic(n, w, hh, 0.0)
     return float(half_lap_grad_sq - hess_sq - drift - ricci)
 
 
@@ -174,14 +173,14 @@ def pohozaev_pointwise_residual(sol: RadialSolution, r) -> float:
     (n-2)/2 h_dot |Du|^2 - h u_r Lap u.
     """
     sol._check_radius(r)
-    p, n = sol.profile, sol.n
-    hh = float(p.h(r))
-    hd = float(p.h_dot(r))
+    n = sol.n
+    w = warping_jet(sol.profile, r)
+    hh, hd = float(w.value), float(w.d1)
 
     flux_field = RadialJet(-0.5 * hh ** 3, -1.5 * hh * hh * hd, 0.0)
-    lhs = divergence_radial(p, n, flux_field, r)
+    lhs = divergence_radial(n, w, flux_field)
 
-    lap_u = laplacian_radial(p, n, _jet_of_u(sol, r), r)
+    lap_u = laplacian_radial(n, w, _jet_of_u(sol, r, w))
     rhs = 0.5 * (n - 2) * hd * hh * hh - hh * hh * lap_u
     return float(lhs - rhs)
 
@@ -193,20 +192,26 @@ def newton_equality_check(sol: RadialSolution, r) -> float:
     eigenvalues agree and the arithmetic-quadratic gap closes identically.
     """
     sol._check_radius(r)
-    rad, ang = radial_hessian(sol.profile, _jet_of_u(sol, r), r)
+    w = warping_jet(sol.profile, r)
+    rad, ang = radial_hessian(w, _jet_of_u(sol, r, w))
     return newton_gap(sol.n, [rad] + [ang] * (sol.n - 1))
 
 
 def _ball_integral(sol: RadialSolution, density) -> float:
-    """Integrate density(r) h(r)^{n-1} dr over (0, R), times the sphere area."""
-    p, n = sol.profile, sol.n
-    val, err = quad(lambda r: density(r) * p.h(r) ** (n - 1), 0.0, sol.R,
-                    epsabs=1e-12, epsrel=1e-12, limit=200)
+    """Integrate density(r, w) h(r)^{n-1} dr over (0, R), times the sphere area.
+
+    w is the warping jet at r, built once per quadrature node.
+    """
+    def integrand(r):
+        w = warping_jet(sol.profile, r)
+        return density(r, w) * w.value ** (sol.n - 1)
+
+    val, err = quad(integrand, 0.0, sol.R, epsabs=1e-12, epsrel=1e-12, limit=200)
     if err > _QUAD_ABS_TOL:
         raise QuadratureError(
             f"catalog quadrature did not converge: estimated error {err:.3e}"
         )
-    return sphere_area(n) * val
+    return sphere_area(sol.n) * val
 
 
 def radial_functionals(sol: RadialSolution) -> FunctionalCatalog:
@@ -216,39 +221,39 @@ def radial_functionals(sol: RadialSolution) -> FunctionalCatalog:
     because u_r = h and |Du| = h; those fields are assigned from a single
     quadrature so the closed-form identities hold with identical numbers.
     """
-    p, n, R = sol.profile, sol.n, sol.R
-    h, hd, hdd, H = p.h, p.h_dot, p.h_ddot, p.H
+    n, R, H = sol.n, sol.R, sol.profile.H
     HR = float(H(R))
 
     def mu(r):
         return HR - H(r)            # -u >= 0
 
-    int_hdot = _ball_integral(sol, hd)
-    int_h2_hdot = _ball_integral(sol, lambda r: h(r) ** 2 * hd(r))
-    int_mu_h2 = _ball_integral(sol, lambda r: mu(r) * h(r) ** 2)
-    int_mu_hdot2 = _ball_integral(sol, lambda r: mu(r) * hd(r) ** 2)
-    int_mu_h_hddot = _ball_integral(sol, lambda r: mu(r) * h(r) * hdd(r))
+    int_hdot = _ball_integral(sol, lambda r, w: w.d1)
+    int_h2_hdot = _ball_integral(sol, lambda r, w: w.value ** 2 * w.d1)
+    int_mu_h2 = _ball_integral(sol, lambda r, w: mu(r) * w.value ** 2)
+    int_mu_hdot2 = _ball_integral(sol, lambda r, w: mu(r) * w.d1 ** 2)
+    int_mu_h_hddot = _ball_integral(sol, lambda r, w: mu(r) * w.value * w.d2)
     int_mu_ricci = _ball_integral(
-        sol, lambda r: mu(r) * ricci_quadratic(p, n, r, h(r), 0.0)
+        sol, lambda r, w: mu(r) * ricci_quadratic(n, w, w.value, 0.0)
     )
 
-    def newton_density(r):
-        rad, ang = radial_hessian(p, _jet_of_u(sol, r), r)
-        lap = laplacian_radial(p, n, _jet_of_u(sol, r), r)
+    def newton_density(r, w):
+        u = _jet_of_u(sol, r, w)
+        rad, ang = radial_hessian(w, u)
+        lap = laplacian_radial(n, w, u)
         hess_sq = rad * rad + (n - 1) * ang * ang
         return mu(r) * (hess_sq - lap * lap / n)
 
     newton_int = _ball_integral(sol, newton_density)
 
-    def pohozaev_bulk_density(r):
-        lap = laplacian_radial(p, n, _jet_of_u(sol, r), r)
-        return 0.5 * (n - 2) * hd(r) * h(r) ** 2 - h(r) ** 2 * lap
+    def pohozaev_bulk_density(r, w):
+        lap = laplacian_radial(n, w, _jet_of_u(sol, r, w))
+        return 0.5 * (n - 2) * w.d1 * w.value ** 2 - w.value ** 2 * lap
 
     pohozaev_bulk = _ball_integral(sol, pohozaev_bulk_density)
 
     neumann_sq_rhs = (
-        _ball_integral(sol, lambda r: mu(r) * ((n + 2) * hd(r) ** 2
-                                               + 2.0 * h(r) * hdd(r)))
+        _ball_integral(sol, lambda r, w: mu(r) * ((n + 2) * w.d1 ** 2
+                                                  + 2.0 * w.value * w.d2))
         - (n - 2) / n * int_mu_h_hddot
     )
 

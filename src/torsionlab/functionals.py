@@ -18,7 +18,7 @@ import numpy as np
 
 from . import closed_form
 from .closed_form import FunctionalCatalog, RadialSolution
-from .geometry import ricci_quadratic
+from .geometry import RadialJet, ricci_quadratic
 from .discretization import (
     DiscreteField,
     boundary_radial_slope,
@@ -107,14 +107,12 @@ def compute_catalog(solution) -> FunctionalCatalog:
 
 def _discrete_catalog(field: DiscreteField) -> FunctionalCatalog:
     n = 2  # the grid solver is surface-only
-    prof = field.profile
     grid = field.grid
     u = field.values
     mu = -u
 
-    r = grid.r
     hh, hd = grid.h, grid.h_dot
-    hdd = prof.h_ddot(r)
+    hdd = field.profile.h_ddot(grid.r)
 
     g = gradient_field(field)
     trace, weights = neumann_trace(field)
@@ -142,7 +140,7 @@ def _discrete_catalog(field: DiscreteField) -> FunctionalCatalog:
     w_r, w_tan = scalar_gradient(field, g.grad_sq)
     bw_lhs = 0.5 * vol(g.u_r * w_r + g.u_tan * w_tan)
 
-    ric = ricci_quadratic(prof, n, r, g.u_r, g.u_tan ** 2)
+    ric = ricci_quadratic(n, RadialJet(hh, hd, hdd), g.u_r, g.u_tan ** 2)
     bw_rhs_curvature = n * int_u_hdot2 + n * int_u_ur_hddot + vol(mu * ric)
     bw_rhs_exact = n * int_u_hdot2 + n * int_u_h_hddot - (n - 1) * int_u_ur_hddot
 

@@ -28,6 +28,7 @@ __all__ = [
     "RadialJet",
     "make_profile",
     "custom_profile",
+    "warping_jet",
     "radial_hessian",
     "laplacian_radial",
     "divergence_radial",
@@ -112,11 +113,12 @@ def make_profile(kind: str, r_max: float) -> WarpingProfile:
         raise ValueError(f"r_max must be a positive finite number, got {r_max!r}")
     r_max = float(r_max)
     if kind == "euclidean":
+        # [()] gives an np.float64 for a scalar radius, as np.sin and np.cos do.
         return WarpingProfile(
             kind, r_max,
             h=lambda r: np.multiply(r, 1.0),
-            h_dot=lambda r: np.ones_like(r, dtype=float),
-            h_ddot=lambda r: np.zeros_like(r, dtype=float),
+            h_dot=lambda r: np.ones_like(r, dtype=float)[()],
+            h_ddot=lambda r: np.zeros_like(r, dtype=float)[()],
             H=lambda r: np.multiply(r, r) / 2.0,
         )
     if kind == "spherical":
@@ -177,28 +179,32 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-def radial_hessian(profile: WarpingProfile, f: RadialJet, r):
+def warping_jet(profile: WarpingProfile, r) -> RadialJet:
+    """The operators' input: h, h', h'' at r, once r is checked inside (0, r_max)."""
+    _require_interior(profile, r)
+    return RadialJet(profile.h(r), profile.h_dot(r), profile.h_ddot(r))
+
+
+def radial_hessian(warp: RadialJet, f: RadialJet):
     """Orthonormal-frame Hessian eigenvalues of a radial function f(r).
 
     The Hessian of f is diagonal: f'' in the radial direction and
     f' h_dot / h on each of the n - 1 angular directions.  Returns the pair
     (radial eigenvalue, angular eigenvalue).
     """
-    _require_interior(profile, r)
     # f' / h first: when f' is exactly h (torsion gradient) the quotient is
     # an exact 1.0 and the angular eigenvalue collapses to h_dot without
     # rounding, which keeps the Newton equality gap at an exact zero.
-    return f.d2, f.d1 / profile.h(r) * profile.h_dot(r)
+    return f.d2, f.d1 / warp.value * warp.d1
 
 
-def laplacian_radial(profile: WarpingProfile, n: int, f: RadialJet, r):
+def laplacian_radial(n: int, warp: RadialJet, f: RadialJet):
     """Laplace-Beltrami operator on a radial function: f'' + (n-1) (h'/h) f'."""
-    _require_interior(profile, r)
     _require_dimension(n)
-    return f.d2 + (n - 1) * profile.h_dot(r) / profile.h(r) * f.d1
+    return f.d2 + (n - 1) * warp.d1 / warp.value * f.d1
 
 
-def divergence_radial(profile: WarpingProfile, n: int, phi: RadialJet, r):
+def divergence_radial(n: int, warp: RadialJet, phi: RadialJet):
     """Divergence of the radial vector field phi(r) d/dr.
 
     div(phi d/dr) = phi' + (n-1) (h'/h) phi.  In particular the field
@@ -206,12 +212,11 @@ def divergence_radial(profile: WarpingProfile, n: int, phi: RadialJet, r):
     phi / h is divided out first so that case reduces to an exact 1.0 and
     the result to exactly n h_dot (for n - 1 a product of small integers).
     """
-    _require_interior(profile, r)
     _require_dimension(n)
-    return phi.d1 + (n - 1) * (phi.value / profile.h(r)) * profile.h_dot(r)
+    return phi.d1 + (n - 1) * (phi.value / warp.value) * warp.d1
 
 
-def ricci_quadratic(profile: WarpingProfile, n: int, r, u_r, grad_tan_sq):
+def ricci_quadratic(n: int, warp: RadialJet, u_r, grad_tan_sq):
     """Ricci curvature evaluated on a gradient: Ric(Du, Du).
 
     Takes the radial component u_r and the squared tangential gradient norm.
@@ -223,14 +228,11 @@ def ricci_quadratic(profile: WarpingProfile, n: int, r, u_r, grad_tan_sq):
     for any unit angular direction e.  On the sphere this collapses to
     (n-1) |Du|^2 and in flat space it vanishes, which the tests pin down.
     """
-    _require_interior(profile, r)
     _require_dimension(n)
     if (grad_tan_sq < 0 if isinstance(grad_tan_sq, float)
             else np.any(np.asarray(grad_tan_sq) < 0)):
         raise ValueError("grad_tan_sq is a squared norm and must be >= 0")
-    hh = profile.h(r)
-    hd = profile.h_dot(r)
-    hdd = profile.h_ddot(r)
+    hh, hd, hdd = warp.value, warp.d1, warp.d2
     radial_coef = -(n - 1) * hdd / hh
     angular_coef = -hdd / hh + (n - 2) * (1.0 - hd * hd) / (hh * hh)
     return radial_coef * np.multiply(u_r, u_r) + angular_coef * grad_tan_sq

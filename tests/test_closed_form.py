@@ -9,7 +9,9 @@ oracle (volume form 2 pi h dr for n = 2) evaluated outside the package:
     euclidean n=2 R=1:     int hdot |Du|^2 = pi/2, matching the split form
 """
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -125,13 +127,38 @@ class TestPointwiseIdentities:
 
     def test_euclidean_pohozaev_sides(self):
         # Both sides are -2 r^2 in the plane.
-        from torsionlab import RadialJet, divergence_radial
+        from torsionlab import RadialJet, divergence_radial, warping_jet
 
         r = 0.7
         phi = RadialJet(-0.5 * r ** 3, -1.5 * r ** 2, 0.0)
-        assert divergence_radial(EUCLID, 2, phi, r) == pytest.approx(-0.98, abs=1e-15)
+        assert divergence_radial(2, warping_jet(EUCLID, r), phi) \
+            == pytest.approx(-0.98, abs=1e-15)
         sol = radial_torsion_solution(EUCLID, 2, 1.0)
         assert pohozaev_pointwise_residual(sol, r) == pytest.approx(0.0, abs=1e-13)
+
+
+class TestWarpingEvaluations:
+    @pytest.mark.parametrize("profile", [EUCLID, SPHERE, HYPER], ids=lambda p: p.kind)
+    @pytest.mark.parametrize("residual", [bochner_residual, pohozaev_pointwise_residual,
+                                          newton_equality_check],
+                             ids=lambda f: f.__name__)
+    def test_pointwise_residual_evaluates_each_derivative_at_most_once(
+            self, profile, residual):
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(profile, name)
+
+            def wrapper(r):
+                calls[name] += 1
+                return fn(r)
+            return wrapper
+
+        names = ("h", "h_dot", "h_ddot")
+        counting = dataclasses.replace(profile, **{k: counted(k) for k in names})
+        sol = radial_torsion_solution(counting, 3, 1.0)
+        residual(sol, 0.5)
+        assert all(calls[name] <= 1 for name in names), calls
 
 
 class TestRadialCatalog:

@@ -259,8 +259,7 @@ class TestConformalCheck:
 class TestMetricEvaluations:
     def test_grid_evaluates_h_and_h_dot_once(self):
         # Every node evaluation of the h family, by the function that made
-        # it.  ricci_quadratic is shared with the closed-form path and
-        # evaluates its own.
+        # it.  ricci_quadratic reads the grid's arrays as one warping jet.
         callers = {"h": [], "h_dot": [], "h_ddot": []}
 
         def counted(name):
@@ -275,9 +274,9 @@ class TestMetricEvaluations:
         profile = dataclasses.replace(SPHERE, **{k: counted(k) for k in callers})
         field = solve_torsion(profile, FLOWER, 16, 32)
         compute_catalog(field)
-        assert callers == {"h": ["build_grid", "ricci_quadratic"],
-                           "h_dot": ["build_grid", "ricci_quadratic"],
-                           "h_ddot": ["_discrete_catalog", "ricci_quadratic"]}
+        assert callers == {"h": ["build_grid"],
+                           "h_dot": ["build_grid"],
+                           "h_ddot": ["_discrete_catalog"]}
         grid = field.grid
         assert field.profile is grid.profile is profile
         np.testing.assert_array_equal(grid.h, SPHERE.h(grid.r))

@@ -24,13 +24,10 @@ from torsionlab import (
     radial_hessian,
     ricci_quadratic,
     sphere_area,
+    warping_jet,
 )
 
 ALL_KINDS = [("euclidean", 10.0), ("spherical", math.pi / 2), ("hyperbolic", 5.0)]
-
-
-def jet_of_h(profile, r):
-    return RadialJet(profile.h(r), profile.h_dot(r), profile.h_ddot(r))
 
 
 def jet_of_H(profile, r):
@@ -51,10 +48,16 @@ class TestMakeProfile:
         p = make_profile("euclidean", 10.0)
         for fn, value in ((p.h_dot, 1.0), (p.h_ddot, 0.0)):
             got = fn(r)
-            assert isinstance(got, np.ndarray)
+            assert type(got) is (np.ndarray if np.ndim(r) else np.float64)
             assert got.dtype == np.float64
             assert got.shape == np.shape(r)
             assert np.all(got == value)
+
+    @pytest.mark.parametrize("kind,rmax", ALL_KINDS)
+    def test_float_radius_gives_float64(self, kind, rmax):
+        p = make_profile(kind, rmax)
+        for fn in (p.h, p.h_dot, p.h_ddot, p.H):
+            assert type(fn(0.5)) is np.float64
 
     def test_spherical_closed_forms(self):
         p = make_profile("spherical", math.pi / 2)
@@ -124,18 +127,34 @@ class TestCustomProfile:
                            lambda r: -math.cos(r), 1.0)
 
 
+class TestWarpingJet:
+    @pytest.mark.parametrize("kind,rmax", ALL_KINDS)
+    def test_jet_is_h_and_its_derivatives(self, kind, rmax):
+        p = make_profile(kind, rmax)
+        for r in (0.3, np.array([0.3, 1.1])):
+            w = warping_jet(p, r)
+            for got, fn in ((w.value, p.h), (w.d1, p.h_dot), (w.d2, p.h_ddot)):
+                np.testing.assert_array_equal(got, fn(r))
+
+    def test_rejects_pole_and_exterior(self):
+        p = make_profile("spherical", math.pi / 2)
+        for r in (0.0, math.pi / 2, 2.0, np.array([0.5, 0.0])):
+            with pytest.raises(ValueError, match="radius must lie strictly inside"):
+                warping_jet(p, r)
+
+
 class TestRadialHessian:
     def test_primitive_gives_isotropic_hessian(self):
         # f = H has both eigenvalues equal to h_dot.
         p = make_profile("spherical", math.pi / 2)
         r = 0.7
-        rad, ang = radial_hessian(p, jet_of_H(p, r), r)
+        rad, ang = radial_hessian(warping_jet(p, r), jet_of_H(p, r))
         assert rad == pytest.approx(math.cos(0.7), abs=1e-15)
         assert ang == pytest.approx(math.cos(0.7), abs=1e-15)
 
     def test_euclidean_identity_hessian(self):
         p = make_profile("euclidean", 10.0)
-        rad, ang = radial_hessian(p, RadialJet(2.0, 2.0, 1.0), 2.0)
+        rad, ang = radial_hessian(warping_jet(p, 2.0), RadialJet(2.0, 2.0, 1.0))
         assert rad == 1.0
         assert ang == 1.0
 
@@ -143,28 +162,28 @@ class TestRadialHessian:
         # f(r) = r: radial eigenvalue 0, angular cot(r); equals 1 at pi/4.
         p = make_profile("spherical", math.pi / 2)
         r = math.pi / 4
-        rad, ang = radial_hessian(p, RadialJet(r, 1.0, 0.0), r)
+        rad, ang = radial_hessian(warping_jet(p, r), RadialJet(r, 1.0, 0.0))
         assert rad == 0.0
         assert ang == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_pole_and_exterior(self):
         p = make_profile("spherical", math.pi / 2)
         with pytest.raises(ValueError):
-            radial_hessian(p, RadialJet(0.0, 1.0, 0.0), 0.0)
+            radial_hessian(warping_jet(p, 0.0), RadialJet(0.0, 1.0, 0.0))
         with pytest.raises(ValueError):
-            radial_hessian(p, RadialJet(0.0, 1.0, 0.0), 2.0)
+            radial_hessian(warping_jet(p, 2.0), RadialJet(0.0, 1.0, 0.0))
 
 
 class TestLaplacianRadial:
     def test_euclidean_half_square(self):
         p = make_profile("euclidean", 10.0)
         f = RadialJet(0.5, 1.0, 1.0)
-        assert laplacian_radial(p, 3, f, 1.0) == 3.0
+        assert laplacian_radial(3, warping_jet(p, 1.0), f) == 3.0
 
     def test_primitive_trace(self):
         # Laplacian of H is n h_dot; frozen 2 cos(0.5) = 1.7551651237807455.
         p = make_profile("spherical", math.pi / 2)
-        got = laplacian_radial(p, 2, jet_of_H(p, 0.5), 0.5)
+        got = laplacian_radial(2, warping_jet(p, 0.5), jet_of_H(p, 0.5))
         assert got == pytest.approx(1.7551651237807455, abs=1e-13)
 
     def test_half_h_squared(self):
@@ -175,7 +194,7 @@ class TestLaplacianRadial:
         r = 0.5
         h, hd = p.h(r), p.h_dot(r)
         f = RadialJet(0.5 * h * h, h * hd, hd * hd + h * p.h_ddot(r))
-        got = laplacian_radial(p, 2, f, r)
+        got = laplacian_radial(2, warping_jet(p, r), f)
         assert got == pytest.approx(1.3104534588022096, abs=1e-13)
 
     @pytest.mark.parametrize("kind,rmax", ALL_KINDS)
@@ -183,7 +202,7 @@ class TestLaplacianRadial:
     def test_primitive_trace_everywhere(self, kind, rmax, n):
         p = make_profile(kind, rmax)
         for r in np.linspace(1e-3, rmax - 1e-3, 200):
-            got = laplacian_radial(p, n, jet_of_H(p, r), r)
+            got = laplacian_radial(n, warping_jet(p, r), jet_of_H(p, r))
             assert got == pytest.approx(n * p.h_dot(r), rel=1e-13, abs=1e-14)
 
 
@@ -191,14 +210,16 @@ class TestDivergenceRadial:
     def test_metric_field_exact(self):
         # div of h d/dr is exactly n h_dot; 2 cos(0.3) = 1.910672978251212.
         p = make_profile("spherical", math.pi / 2)
-        got = divergence_radial(p, 2, jet_of_h(p, 0.3), 0.3)
+        w = warping_jet(p, 0.3)
+        got = divergence_radial(2, w, w)
         assert got == 2.0 * math.cos(0.3)
         assert got == pytest.approx(1.910672978251212, abs=1e-15)
 
     def test_euclidean_position_field(self):
         p = make_profile("euclidean", 10.0)
         for r in (0.5, 1.0, 3.0):
-            assert divergence_radial(p, 4, RadialJet(r, 1.0, 0.0), r) == 4.0
+            assert divergence_radial(4, warping_jet(p, r), RadialJet(r, 1.0, 0.0)) \
+                == 4.0
 
     def test_cubic_flux_field(self):
         # phi = -h^3/2 has divergence -(n+2) h^2 hdot / 2; at r = 0.5, n = 2
@@ -208,7 +229,7 @@ class TestDivergenceRadial:
         r = 0.5
         h, hd = p.h(r), p.h_dot(r)
         phi = RadialJet(-0.5 * h ** 3, -1.5 * h * h * hd, 0.0)
-        got = divergence_radial(p, 2, phi, r)
+        got = divergence_radial(2, warping_jet(p, r), phi)
         assert got == pytest.approx(-0.4034226801113349, abs=1e-13)
 
     @pytest.mark.parametrize("kind,rmax", ALL_KINDS)
@@ -216,26 +237,29 @@ class TestDivergenceRadial:
     def test_metric_field_exact_everywhere(self, kind, rmax, n):
         p = make_profile(kind, rmax)
         for r in np.linspace(1e-3, rmax - 1e-3, 100):
-            assert divergence_radial(p, n, jet_of_h(p, r), r) == n * p.h_dot(r)
+            w = warping_jet(p, r)
+            assert divergence_radial(n, w, w) == n * p.h_dot(r)
 
 
 class TestRicciQuadratic:
     def test_spherical_value(self):
-        assert ricci_quadratic(make_profile("spherical", math.pi / 2),
-                               3, 0.4, 1.0, 1.0) == pytest.approx(4.0, abs=1e-14)
+        p = make_profile("spherical", math.pi / 2)
+        assert ricci_quadratic(3, warping_jet(p, 0.4), 1.0, 1.0) \
+            == pytest.approx(4.0, abs=1e-14)
 
     def test_euclidean_flat(self):
         p = make_profile("euclidean", 10.0)
-        assert ricci_quadratic(p, 4, 1.2, 0.3, 0.9) == 0.0
+        assert ricci_quadratic(4, warping_jet(p, 1.2), 0.3, 0.9) == 0.0
 
     def test_hyperbolic_radial_direction(self):
         p = make_profile("hyperbolic", 5.0)
-        assert ricci_quadratic(p, 2, 0.8, 1.0, 0.0) == pytest.approx(-1.0, abs=1e-15)
+        assert ricci_quadratic(2, warping_jet(p, 0.8), 1.0, 0.0) \
+            == pytest.approx(-1.0, abs=1e-15)
 
     def test_rejects_negative_tangential_norm(self):
         p = make_profile("spherical", math.pi / 2)
         with pytest.raises(ValueError):
-            ricci_quadratic(p, 2, 0.5, 1.0, -1e-3)
+            ricci_quadratic(2, warping_jet(p, 0.5), 1.0, -1e-3)
 
     @given(u_r=st.floats(-100, 100), g_tan=st.floats(0, 1e4),
            r=st.floats(0.01, math.pi / 2 - 0.01))
@@ -244,13 +268,13 @@ class TestRicciQuadratic:
         # On the round sphere the quadratic form is (n-1)|Du|^2.
         p = make_profile("spherical", math.pi / 2)
         for n in (2, 3, 5):
-            got = ricci_quadratic(p, n, r, u_r, g_tan)
+            got = ricci_quadratic(n, warping_jet(p, r), u_r, g_tan)
             want = (n - 1) * (u_r * u_r + g_tan)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_hyperbolic_mirror_of_sphere(self):
         p = make_profile("hyperbolic", 5.0)
-        got = ricci_quadratic(p, 3, 0.7, 1.5, 2.0)
+        got = ricci_quadratic(3, warping_jet(p, 0.7), 1.5, 2.0)
         want = -2 * (1.5 ** 2 + 2.0)
         assert got == pytest.approx(want, rel=1e-12)
 

@@ -20,6 +20,7 @@ from torsionlab import (
     radial_hessian,
     radial_torsion_solution,
     ricci_quadratic,
+    warping_jet,
 )
 
 PROFILES = [make_profile("euclidean", 10.0), make_profile("spherical", math.pi / 2),
@@ -34,10 +35,10 @@ def as_four(x):
 def interior_ops(profile, r):
     jet = RadialJet(1.0, 1.0, 1.0)
     return [
-        lambda: radial_hessian(profile, jet, r),
-        lambda: laplacian_radial(profile, 3, jet, r),
-        lambda: divergence_radial(profile, 3, jet, r),
-        lambda: ricci_quadratic(profile, 3, r, 1.0, 0.0),
+        lambda: radial_hessian(warping_jet(profile, r), jet),
+        lambda: laplacian_radial(3, warping_jet(profile, r), jet),
+        lambda: divergence_radial(3, warping_jet(profile, r), jet),
+        lambda: ricci_quadratic(3, warping_jet(profile, r), 1.0, 0.0),
     ]
 
 
@@ -60,7 +61,7 @@ class TestRequireInterior:
             messages = set()
             for r in as_four(bad)[:3]:
                 with pytest.raises(ValueError) as info:
-                    radial_hessian(profile, RadialJet(1.0, 1.0, 1.0), r)
+                    warping_jet(profile, r)
                 messages.add(str(info.value))
             assert len(messages) == 1, messages
 
@@ -74,13 +75,14 @@ class TestRequireInterior:
 class TestRequireDimension:
     @pytest.mark.parametrize("n", [2, np.int64(2), 7, np.int32(7)])
     def test_integer_dimensions_accepted(self, n):
-        assert laplacian_radial(PROFILES[0], n, RadialJet(0.5, 1.0, 1.0), 1.0) \
-            == 1.0 + (int(n) - 1)
+        assert laplacian_radial(n, warping_jet(PROFILES[0], 1.0),
+                                RadialJet(0.5, 1.0, 1.0)) == 1.0 + (int(n) - 1)
 
     @pytest.mark.parametrize("n", [1, 0, -3, np.int64(1), 2.0, True, "2", None])
     def test_bad_dimensions_rejected(self, n):
         with pytest.raises(ValueError, match="dimension n must be an integer"):
-            laplacian_radial(PROFILES[0], n, RadialJet(0.5, 1.0, 1.0), 1.0)
+            laplacian_radial(n, warping_jet(PROFILES[0], 1.0),
+                             RadialJet(0.5, 1.0, 1.0))
 
 
 class TestRadialJet:
@@ -104,13 +106,13 @@ class TestRicciTangentialNorm:
         p = PROFILES[1]
         for v in as_four(g):
             with pytest.raises(ValueError, match="grad_tan_sq"):
-                ricci_quadratic(p, 3, 0.5, 1.0, v)
+                ricci_quadratic(3, warping_jet(p, 0.5), 1.0, v)
 
     def test_zero_norms_accepted_in_every_form(self):
         p = PROFILES[1]
         for g in (0.0, -0.0):
             for v in as_four(g):
-                ricci_quadratic(p, 3, 0.5, 1.0, v)
+                ricci_quadratic(3, warping_jet(p, 0.5), 1.0, v)
 
 
 class TestNewtonGap:
@@ -176,16 +178,18 @@ class TestBitwiseParity:
         u_r = profile.h(rs)
         tan = 0.25 * rs
 
-        rad, ang = radial_hessian(profile, f, rs)
-        lap = laplacian_radial(profile, n, f, rs)
-        div = divergence_radial(profile, n, g, rs)
-        ric = ricci_quadratic(profile, n, rs, u_r, tan)
+        w = warping_jet(profile, rs)
+        rad, ang = radial_hessian(w, f)
+        lap = laplacian_radial(n, w, f)
+        div = divergence_radial(n, w, g)
+        ric = ricci_quadratic(n, w, u_r, tan)
         for k, r in enumerate(rs):
             fk = RadialJet(f.value[k], f.d1[k], f.d2[k])
             gk = RadialJet(g.value[k], g.d1[k], g.d2[k])
             for rr in (r, float(r)):
-                assert radial_hessian(profile, fk, rr) == (rad[k], ang[k])
-                assert laplacian_radial(profile, n, fk, rr) == lap[k]
-                assert divergence_radial(profile, n, gk, rr) == div[k]
-                assert ricci_quadratic(profile, n, rr, u_r[k], tan[k]) == ric[k]
+                wk = warping_jet(profile, rr)
+                assert radial_hessian(wk, fk) == (rad[k], ang[k])
+                assert laplacian_radial(n, wk, fk) == lap[k]
+                assert divergence_radial(n, wk, gk) == div[k]
+                assert ricci_quadratic(n, wk, u_r[k], tan[k]) == ric[k]
 
