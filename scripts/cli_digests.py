@@ -4,7 +4,10 @@
 Prints one line ``<run> <exit code> <sha256[:16]>`` per run, the digest
 being of the run's stdout.  The runs are solve, verify, radial (at n = 2,
 3 and 5) and sweep in every geometry, two rigidity descents and the run
-configs in this directory, each in both output formats.
+configs in this directory, each in both output formats.  The last lines,
+``pointwise/<geometry>/n<k> 0 <sha256[:16]>``, digest the ``repr``s of the
+three pointwise residuals at 50 midpoint radii of R0 = 0.7 instead, for
+n = 2, 3 and 5; they run no CLI, so their code is always 0.
 ``torsionlab`` is imported from this checkout's ``src``, so running the
 script in two checkouts and comparing the outputs shows whether a change
 keeps the CLI bytes:
@@ -23,7 +26,13 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent
 sys.path.insert(0, str(SCRIPTS.parent / "src"))
 
-from torsionlab.cli import main  # noqa: E402
+from torsionlab import (  # noqa: E402
+    bochner_residual,
+    newton_equality_check,
+    pohozaev_pointwise_residual,
+    radial_torsion_solution,
+)
+from torsionlab.cli import RunConfig, main  # noqa: E402
 
 GRID = ["--Ns", "32", "--Ntheta", "64"]
 STAR = ["--a1", "0.05", "--b2", "0.1", "--a3", "-0.04"]
@@ -61,15 +70,36 @@ def runs():
             yield f"{path.name}/{fmt}", [str(path), "--format", fmt]
 
 
+def _hex(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def digest(argv):
     """Exit code and the first 16 hex digits of the stdout's sha256."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+    return code, _hex(out.getvalue())
+
+
+def pointwise_digests():
+    """(name, digest) of the pointwise residuals per geometry and n."""
+    R, samples = 0.7, 50
+    for geometry in ("euclidean", "spherical", "hyperbolic"):
+        profile = RunConfig(geometry=geometry).profile()
+        for n in (2, 3, 5):
+            sol = radial_torsion_solution(profile, n, R)
+            reprs = [repr(residual(sol, R * (j - 0.5) / samples))
+                     for j in range(1, samples + 1)
+                     for residual in (bochner_residual,
+                                      pohozaev_pointwise_residual,
+                                      newton_equality_check)]
+            yield f"pointwise/{geometry}/n{n}", _hex("\n".join(reprs))
 
 
 if __name__ == "__main__":
     for name, argv in runs():
         code, hexdigest = digest(argv)
         print(f"{name} {code} {hexdigest}", flush=True)
+    for name, hexdigest in pointwise_digests():
+        print(f"{name} 0 {hexdigest}", flush=True)

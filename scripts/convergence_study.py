@@ -55,7 +55,8 @@ def main() -> None:
         order = "" if previous is None else f"{math.log2(previous / error):.2f}"
         trace, _ = neumann_trace(field)
         trace_dev = float(np.max(np.abs(trace - c_exact)))
-        report = identity_report(compute_catalog(field), 1e-2)
+        report = identity_report(compute_catalog(field),
+                                 RunConfig().report_tol)
         worst = max(rec.rel_residual for rec in report
                     if rec.verdict != "not_applicable")
         print(f"{ns:>5}x{2 * ns:<4} {error:>12.3e} {order:>6} "

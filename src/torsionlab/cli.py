@@ -106,14 +106,9 @@ class RunConfig:
         return make_profile(self.geometry, _R_MAX[self.geometry])
 
 
-def _parse_value(key: str, raw: str, where: str):
-    caster = _SCALAR_KEYS[key]
+def _parse_value(caster: type, key: str, raw: str, where: str):
     try:
-        if caster is int:
-            return int(raw)
-        if caster is float:
-            return float(raw)
-        return raw
+        return caster(raw)
     except ValueError:
         raise ConfigError(f"{where}: key {key!r} expects a {caster.__name__}, "
                           f"got {raw!r}") from None
@@ -133,21 +128,13 @@ def parse_config(text: str = "", overrides=()) -> RunConfig:
         raw = raw.strip()
         sources[key] = where
         m = _COEFF_KEY.match(key)
-        if m:
-            kind, idx = m.group(1), int(m.group(2))
-            try:
-                val = float(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{where}: key {key!r} expects a float, got {raw!r}"
-                ) from None
-            target = cfg.cos_coeffs if kind == "a" else cfg.sin_coeffs
-            target[idx] = val
-            return
-        if key not in _SCALAR_KEYS:
+        if m is None and key not in _SCALAR_KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        value = _parse_value(key, raw, where)
-        if key == "family_values":
+        value = _parse_value(float if m else _SCALAR_KEYS[key], key, raw, where)
+        if m:
+            target = cfg.cos_coeffs if m.group(1) == "a" else cfg.sin_coeffs
+            target[int(m.group(2))] = value
+        elif key == "family_values":
             try:
                 cfg.family_values = tuple(float(v) for v in value.split(","))
             except ValueError:
@@ -180,10 +167,11 @@ def _validate(cfg: RunConfig, sources: dict) -> None:
     def fail(key: str, message: str):
         raise ConfigError(f"{where(key)}: {message}")
 
-    if cfg.command not in COMMANDS:
-        fail("command", f"command must be one of {COMMANDS}, got {cfg.command!r}")
-    if cfg.geometry not in GEOMETRIES:
-        fail("geometry", f"geometry must be one of {GEOMETRIES}, got {cfg.geometry!r}")
+    for key, choices in (("command", COMMANDS), ("geometry", GEOMETRIES),
+                         ("format", FORMATS), ("family", FAMILIES)):
+        value = getattr(cfg, key)
+        if value not in choices:
+            fail(key, f"{key} must be one of {choices}, got {value!r}")
     if cfg.n < 2:
         fail("n", f"n must be >= 2, got {cfg.n}")
     if cfg.command != "radial" and cfg.n != 2:
@@ -199,14 +187,10 @@ def _validate(cfg: RunConfig, sources: dict) -> None:
         fail("tol", f"tol must be positive, got {cfg.tol}")
     if not (cfg.report_tol > 0):
         fail("report_tol", f"report_tol must be positive, got {cfg.report_tol}")
-    if cfg.format not in FORMATS:
-        fail("format", f"format must be one of {FORMATS}, got {cfg.format!r}")
     if not (1 <= cfg.modes <= 8):
         fail("modes", f"modes must lie in 1..8, got {cfg.modes}")
     if cfg.budget < 50:
         fail("budget", f"budget must be at least 50, got {cfg.budget}")
-    if cfg.family not in FAMILIES:
-        fail("family", f"family must be one of {FAMILIES}, got {cfg.family!r}")
 
     r_max = _R_MAX[cfg.geometry]
     try:

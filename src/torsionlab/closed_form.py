@@ -22,7 +22,7 @@ defined here so that this module depends on ``geometry`` alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.integrate import quad
@@ -65,6 +65,9 @@ class FunctionalCatalog:
     ``bw_rhs_exact`` is the exact evaluation of the same left-hand side
     obtained by eliminating the Hessian, so bw_lhs >= bw_rhs_curvature with
     equality exactly on radial solutions.
+
+    The four entries declared ``init=False`` follow from the others by
+    algebra alone and are derived here, once for both builders.
     """
 
     n: int
@@ -73,23 +76,35 @@ class FunctionalCatalog:
     int_hdot_gradsq: float        # int h_dot |Du|^2
     bw_lhs: float                 # 1/2 int mu Lap|Du|^2, evaluated as 1/2 int g(Du, D|Du|^2)
     bw_rhs_curvature: float       # n int mu h_dot^2 + n int mu u_r h_ddot + int mu Ric(Du,Du)
-    bw_rhs_exact: float           # n int mu h_dot^2 + n int mu h h_ddot - (n-1) int mu u_r h_ddot
-    bw_gap: float                 # bw_lhs - bw_rhs_curvature (>= 0, zero on radial solutions)
+    bw_rhs_exact: float = field(init=False)  # n int mu h_dot^2 + n int mu h h_ddot - (n-1) int mu u_r h_ddot
+    bw_gap: float = field(init=False)  # bw_lhs - bw_rhs_curvature (>= 0, zero on radial solutions)
     int_u_gradsq: float           # int mu |Du|^2
     int_u_radial_flux: float      # int mu h u_r
-    energy_defect: float          # int mu (|Du|^2 - h^2), nonpositive on torsion solutions
+    energy_defect: float = field(init=False)  # int mu (|Du|^2 - h^2), nonpositive on torsion solutions
     int_u_hdot2: float            # int mu h_dot^2
     int_u_ur_hddot: float         # int mu u_r h_ddot
     int_u_h_hddot: float          # int mu h h_ddot
     int_u_h2: float               # int mu h^2
     int_ur_h_hdot: float          # int u_r h h_dot
-    neumann_sq_lhs: float         # c^2 int h_dot
+    neumann_sq_lhs: float = field(init=False)  # c^2 int h_dot
     neumann_sq_rhs: float         # int mu ((n+2) h_dot^2 + 2 h h_ddot) - (n-2)/n int mu u_r h_ddot
     newton_int: float             # int mu (|Hess u|^2 - (Lap u)^2 / n)
     pohozaev_flux: float          # boundary side of the Pohozaev balance
     pohozaev_bulk: float          # volume side of the Pohozaev balance
     c_mean: float                 # arclength-weighted mean of the Neumann trace
     c_std: float                  # arclength-weighted standard deviation of the trace
+
+    def __post_init__(self):
+        n = self.n
+        derived = {
+            "bw_rhs_exact": (n * self.int_u_hdot2 + n * self.int_u_h_hddot
+                             - (n - 1) * self.int_u_ur_hddot),
+            "bw_gap": self.bw_lhs - self.bw_rhs_curvature,
+            "energy_defect": self.int_u_gradsq - self.int_u_h2,
+            "neumann_sq_lhs": self.c_mean ** 2 * self.int_hdot,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -102,6 +117,7 @@ class RadialSolution:
     profile: WarpingProfile
     n: int
     R: float
+    HR: float = field(init=False, repr=False, compare=False)  # H(R)
 
     def __post_init__(self):
         _require_dimension(self.n)
@@ -109,10 +125,11 @@ class RadialSolution:
             raise ValueError(
                 f"ball radius must lie in (0, {self.profile.r_max}), got {self.R!r}"
             )
+        object.__setattr__(self, "HR", float(self.profile.H(self.R)))
 
     def u(self, r):
         self._check_radius(r)
-        return self.profile.H(r) - self.profile.H(self.R)
+        return self.profile.H(r) - self.HR
 
     def u_r(self, r):
         self._check_radius(r)
@@ -136,8 +153,9 @@ def radial_torsion_solution(profile: WarpingProfile, n: int, R: float) -> Radial
     return RadialSolution(profile=profile, n=n, R=float(R))
 
 
-def _jet_of_u(sol: RadialSolution, r, w: RadialJet) -> RadialJet:
-    return RadialJet(float(sol.u(r)), float(w.value), float(w.d1))
+def _jet_of_u(u, w: RadialJet) -> RadialJet:
+    """Jet of u = H(r) - H(R) from its value and the warping jet: u' = h, u'' = h'."""
+    return RadialJet(float(u), float(w.value), float(w.d1))
 
 
 def bochner_residual(sol: RadialSolution, r) -> float:
@@ -156,7 +174,7 @@ def bochner_residual(sol: RadialSolution, r) -> float:
     half_grad_sq = RadialJet(0.5 * hh * hh, hh * hd, hd * hd + hh * hdd)
     half_lap_grad_sq = laplacian_radial(n, w, half_grad_sq)
 
-    rad, ang = radial_hessian(w, _jet_of_u(sol, r, w))
+    rad, ang = radial_hessian(w, _jet_of_u(sol.profile.H(r) - sol.HR, w))
     hess_sq = rad * rad + (n - 1) * ang * ang
 
     # Lap u = n h_dot, so D(Lap u) = n h_ddot d/dr and Du = h d/dr.
@@ -180,7 +198,7 @@ def pohozaev_pointwise_residual(sol: RadialSolution, r) -> float:
     flux_field = RadialJet(-0.5 * hh ** 3, -1.5 * hh * hh * hd, 0.0)
     lhs = divergence_radial(n, w, flux_field)
 
-    lap_u = laplacian_radial(n, w, _jet_of_u(sol, r, w))
+    lap_u = laplacian_radial(n, w, _jet_of_u(sol.profile.H(r) - sol.HR, w))
     rhs = 0.5 * (n - 2) * hd * hh * hh - hh * hh * lap_u
     return float(lhs - rhs)
 
@@ -193,7 +211,7 @@ def newton_equality_check(sol: RadialSolution, r) -> float:
     """
     sol._check_radius(r)
     w = warping_jet(sol.profile, r)
-    rad, ang = radial_hessian(w, _jet_of_u(sol, r, w))
+    rad, ang = radial_hessian(w, _jet_of_u(sol.profile.H(r) - sol.HR, w))
     return newton_gap(sol.n, [rad] + [ang] * (sol.n - 1))
 
 
@@ -221,8 +239,7 @@ def radial_functionals(sol: RadialSolution) -> FunctionalCatalog:
     because u_r = h and |Du| = h; those fields are assigned from a single
     quadrature so the closed-form identities hold with identical numbers.
     """
-    n, R, H = sol.n, sol.R, sol.profile.H
-    HR = float(H(R))
+    n, H, HR = sol.n, sol.profile.H, sol.HR
 
     def mu(r):
         return HR - H(r)            # -u >= 0
@@ -237,16 +254,17 @@ def radial_functionals(sol: RadialSolution) -> FunctionalCatalog:
     )
 
     def newton_density(r, w):
-        u = _jet_of_u(sol, r, w)
+        m = mu(r)
+        u = _jet_of_u(-m, w)
         rad, ang = radial_hessian(w, u)
         lap = laplacian_radial(n, w, u)
         hess_sq = rad * rad + (n - 1) * ang * ang
-        return mu(r) * (hess_sq - lap * lap / n)
+        return m * (hess_sq - lap * lap / n)
 
     newton_int = _ball_integral(sol, newton_density)
 
     def pohozaev_bulk_density(r, w):
-        lap = laplacian_radial(n, w, _jet_of_u(sol, r, w))
+        lap = laplacian_radial(n, w, _jet_of_u(-mu(r), w))
         return 0.5 * (n - 2) * w.d1 * w.value ** 2 - w.value ** 2 * lap
 
     pohozaev_bulk = _ball_integral(sol, pohozaev_bulk_density)
@@ -263,8 +281,6 @@ def radial_functionals(sol: RadialSolution) -> FunctionalCatalog:
     pohozaev_flux = -0.5 * c ** 3 * bdry_measure
 
     bw_rhs_curvature = n * int_mu_hdot2 + n * int_mu_h_hddot + int_mu_ricci
-    bw_rhs_exact = (n * int_mu_hdot2 + n * int_mu_h_hddot
-                    - (n - 1) * int_mu_h_hddot)
 
     return FunctionalCatalog(
         n=n,
@@ -273,17 +289,13 @@ def radial_functionals(sol: RadialSolution) -> FunctionalCatalog:
         int_hdot_gradsq=int_h2_hdot,
         bw_lhs=int_h2_hdot,
         bw_rhs_curvature=bw_rhs_curvature,
-        bw_rhs_exact=bw_rhs_exact,
-        bw_gap=int_h2_hdot - bw_rhs_curvature,
         int_u_gradsq=int_mu_h2,
         int_u_radial_flux=int_mu_h2,
-        energy_defect=int_mu_h2 - int_mu_h2,
         int_u_hdot2=int_mu_hdot2,
         int_u_ur_hddot=int_mu_h_hddot,
         int_u_h_hddot=int_mu_h_hddot,
         int_u_h2=int_mu_h2,
         int_ur_h_hdot=int_h2_hdot,
-        neumann_sq_lhs=c ** 2 * int_hdot,
         neumann_sq_rhs=neumann_sq_rhs,
         newton_int=newton_int,
         pohozaev_flux=pohozaev_flux,

@@ -65,6 +65,14 @@ _VALIDATION_SAMPLES = 4096
 # Default bound on the verified scaled residual of ``solve``.
 SOLVER_TOL = 1e-10
 
+# The d-th derivative of a_k cos(k t) + b_k sin(k t) is k^d times
+# (sign, basis) of the cosine term and of the sine term, for d = 0, 1, 2.
+_SERIES_DERIVATIVES = (
+    ((1, np.cos), (1, np.sin)),
+    ((-1, np.sin), (1, np.cos)),
+    ((-1, np.cos), (-1, np.sin)),
+)
+
 
 @dataclass(frozen=True, eq=False)
 class StarDomain:
@@ -102,32 +110,15 @@ class StarDomain:
 
     def _series(self, theta, derivative: int):
         theta = np.asarray(theta, dtype=float)
-        ka = np.arange(1, len(self.cos_coeffs) + 1, dtype=float)
-        kb = np.arange(1, len(self.sin_coeffs) + 1, dtype=float)
-        a = np.asarray(self.cos_coeffs)
-        b = np.asarray(self.sin_coeffs)
-        arg_a = np.multiply.outer(theta, ka)
-        arg_b = np.multiply.outer(theta, kb)
-        if derivative == 0:
-            acc = np.ones_like(theta)
-            if a.size:
-                acc = acc + np.cos(arg_a) @ a
-            if b.size:
-                acc = acc + np.sin(arg_b) @ b
-        elif derivative == 1:
-            acc = np.zeros_like(theta)
-            if a.size:
-                acc = acc - np.sin(arg_a) @ (ka * a)
-            if b.size:
-                acc = acc + np.cos(arg_b) @ (kb * b)
-        elif derivative == 2:
-            acc = np.zeros_like(theta)
-            if a.size:
-                acc = acc - np.cos(arg_a) @ (ka * ka * a)
-            if b.size:
-                acc = acc - np.sin(arg_b) @ (kb * kb * b)
-        else:
-            raise ValueError(derivative)
+        acc = np.ones_like(theta) if derivative == 0 else np.zeros_like(theta)
+        for coeffs, (sign, basis) in zip((self.cos_coeffs, self.sin_coeffs),
+                                         _SERIES_DERIVATIVES[derivative]):
+            if not coeffs:
+                continue
+            k = np.arange(1, len(coeffs) + 1, dtype=float)
+            term = basis(np.multiply.outer(theta, k)) @ (k ** derivative
+                                                        * np.asarray(coeffs))
+            acc = acc + term if sign > 0 else acc - term
         out = self.r0 * acc
         return out if np.ndim(theta) else float(out)
 

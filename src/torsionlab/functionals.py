@@ -118,8 +118,7 @@ def _discrete_catalog(field: DiscreteField) -> FunctionalCatalog:
     trace, weights = neumann_trace(field)
 
     bdry_measure, c_mean, c_var = trace_moments(trace, weights)
-    # Tiny negative variances can fall out of weighted sums; clamp them.
-    c_std = math.sqrt(max(c_var, 0.0))
+    c_std = math.sqrt(c_var)
 
     def vol(values) -> float:
         return integrate(values, field)
@@ -129,7 +128,6 @@ def _discrete_catalog(field: DiscreteField) -> FunctionalCatalog:
     int_u_gradsq = vol(mu * g.grad_sq)
     int_u_radial_flux = vol(mu * hh * g.u_r)
     int_u_h2 = vol(mu * hh * hh)
-    energy_defect = int_u_gradsq - int_u_h2
     int_u_hdot2 = vol(mu * hd * hd)
     int_u_ur_hddot = vol(mu * g.u_r * hdd)
     int_u_h_hddot = vol(mu * hh * hdd)
@@ -142,9 +140,7 @@ def _discrete_catalog(field: DiscreteField) -> FunctionalCatalog:
 
     ric = ricci_quadratic(n, RadialJet(hh, hd, hdd), g.u_r, g.u_tan ** 2)
     bw_rhs_curvature = n * int_u_hdot2 + n * int_u_ur_hddot + vol(mu * ric)
-    bw_rhs_exact = n * int_u_hdot2 + n * int_u_h_hddot - (n - 1) * int_u_ur_hddot
 
-    neumann_sq_lhs = c_mean ** 2 * int_hdot
     neumann_sq_rhs = (
         vol(mu * ((n + 2) * hd * hd + 2.0 * hh * hdd))
         - (n - 2) / n * int_u_ur_hddot
@@ -172,17 +168,13 @@ def _discrete_catalog(field: DiscreteField) -> FunctionalCatalog:
         int_hdot_gradsq=int_hdot_gradsq,
         bw_lhs=bw_lhs,
         bw_rhs_curvature=bw_rhs_curvature,
-        bw_rhs_exact=bw_rhs_exact,
-        bw_gap=bw_lhs - bw_rhs_curvature,
         int_u_gradsq=int_u_gradsq,
         int_u_radial_flux=int_u_radial_flux,
-        energy_defect=energy_defect,
         int_u_hdot2=int_u_hdot2,
         int_u_ur_hddot=int_u_ur_hddot,
         int_u_h_hddot=int_u_h_hddot,
         int_u_h2=int_u_h2,
         int_ur_h_hdot=int_ur_h_hdot,
-        neumann_sq_lhs=neumann_sq_lhs,
         neumann_sq_rhs=neumann_sq_rhs,
         newton_int=newton_int,
         pohozaev_flux=pohozaev_flux,

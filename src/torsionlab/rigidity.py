@@ -73,7 +73,7 @@ def neumann_deviation(domain: StarDomain, profile: WarpingProfile, ns: int,
     values, weights = neumann_trace(field)
     total, mean, var = trace_moments(values, weights)
     return ShapeObjective(j=var / mean ** 2, c_mean=mean,
-                          c_std=math.sqrt(max(var, 0.0)),
+                          c_std=math.sqrt(var),
                           residuals=np.sqrt(weights / total) * (values - mean) / mean)
 
 

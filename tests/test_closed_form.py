@@ -137,6 +137,19 @@ class TestPointwiseIdentities:
         assert pohozaev_pointwise_residual(sol, r) == pytest.approx(0.0, abs=1e-13)
 
 
+def counting_profile(profile, names, calls):
+    """``profile`` with each callable in ``names`` counting its calls in ``calls``."""
+    def counted(name):
+        fn = getattr(profile, name)
+
+        def wrapper(r):
+            calls[name] += 1
+            return fn(r)
+        return wrapper
+
+    return dataclasses.replace(profile, **{k: counted(k) for k in names})
+
+
 class TestWarpingEvaluations:
     @pytest.mark.parametrize("profile", [EUCLID, SPHERE, HYPER], ids=lambda p: p.kind)
     @pytest.mark.parametrize("residual", [bochner_residual, pohozaev_pointwise_residual,
@@ -145,20 +158,19 @@ class TestWarpingEvaluations:
     def test_pointwise_residual_evaluates_each_derivative_at_most_once(
             self, profile, residual):
         calls = Counter()
-
-        def counted(name):
-            fn = getattr(profile, name)
-
-            def wrapper(r):
-                calls[name] += 1
-                return fn(r)
-            return wrapper
-
-        names = ("h", "h_dot", "h_ddot")
-        counting = dataclasses.replace(profile, **{k: counted(k) for k in names})
-        sol = radial_torsion_solution(counting, 3, 1.0)
+        names = ("h", "h_dot", "h_ddot", "H")
+        sol = radial_torsion_solution(counting_profile(profile, names, calls), 3, 1.0)
+        calls.clear()   # H(R) belongs to the solution, not to the residual
         residual(sol, 0.5)
         assert all(calls[name] <= 1 for name in names), calls
+
+    @pytest.mark.parametrize("profile", [EUCLID, SPHERE, HYPER], ids=lambda p: p.kind)
+    def test_catalog_evaluates_H_once_per_node_plus_H_of_R(self, profile):
+        calls = Counter()
+        counting = counting_profile(profile, ("h_dot", "H"), calls)
+        compute_catalog(radial_torsion_solution(counting, 3, 0.7))
+        # Every quadrature node evaluates the warping jet, so h_dot once.
+        assert calls["H"] <= calls["h_dot"] + 1, calls
 
 
 class TestRadialCatalog:

@@ -112,6 +112,30 @@ class TestStarDomain:
         assert FLOWER.drho(t) == pytest.approx(-0.8 * 0.45 * math.sin(3 * t), abs=1e-15)
         assert FLOWER.d2rho(t) == pytest.approx(-0.8 * 1.35 * math.cos(3 * t), abs=1e-15)
 
+    # rho = r0 (1 + a1 cos t + a3 cos 3t + b2 sin 2t): cosine and sine
+    # tuples of different lengths, a sine term in every derivative.
+    MIXED = StarDomain(0.9, (0.1, 0.0, -0.05), (0.0, 0.08))
+    MIXED_DERIVATIVES = {
+        "rho": lambda t: 0.9 * (1.0 + 0.1 * np.cos(t) - 0.05 * np.cos(3 * t)
+                                + 0.08 * np.sin(2 * t)),
+        "drho": lambda t: 0.9 * (-0.1 * np.sin(t) + 0.15 * np.sin(3 * t)
+                                 + 0.16 * np.cos(2 * t)),
+        "d2rho": lambda t: 0.9 * (-0.1 * np.cos(t) + 0.45 * np.cos(3 * t)
+                                  - 0.32 * np.sin(2 * t)),
+    }
+
+    @pytest.mark.parametrize("name", ["rho", "drho", "d2rho"])
+    def test_series_derivatives_with_sine_terms(self, name):
+        series = getattr(self.MIXED, name)
+        want = self.MIXED_DERIVATIVES[name]
+        value = series(0.9)
+        assert type(value) is float
+        assert value == pytest.approx(float(want(0.9)), abs=1e-15)
+        t = np.linspace(0.0, 2 * math.pi, 37)
+        values = series(t)
+        assert values.shape == t.shape
+        np.testing.assert_allclose(values, want(t), rtol=0, atol=1e-15)
+
     def test_extrema(self):
         assert FLOWER.max_radius == pytest.approx(0.92, abs=1e-12)
         assert FLOWER.min_radius == pytest.approx(0.8 * 0.85, abs=1e-12)
