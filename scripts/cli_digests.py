@@ -3,7 +3,7 @@
 
 Prints one line ``<run> <exit code> <sha256[:16]>`` per run, the digest
 being of the run's stdout.  The runs are solve, verify, radial (at n = 2,
-3 and 5) and sweep in every geometry, two rigidity descents and the run
+3 and 5) and sweep in every geometry, three rigidity descents and the run
 configs in this directory, each in both output formats.  The last lines,
 ``pointwise/<geometry>/n<k> 0 <sha256[:16]>``, digest the ``repr``s of the
 three pointwise residuals at 50 midpoint radii of R0 = 0.7 instead, for
@@ -60,11 +60,13 @@ def runs():
                 yield (f"{geometry}/{name}/{fmt}",
                        ["--geometry", geometry, "--R0", "0.7", *args,
                         "--format", fmt])
+    descent = ["--command", "rigidity", "--Ns", "16", "--Ntheta", "32",
+               "--a1", "0.05", "--a2", "-0.06", "--b2", "0.04"]
     for fmt in ("csv", "json"):
         yield f"rigidity/{fmt}", ["--command", "rigidity", "--format", fmt]
-        yield (f"rigidity-16x32/{fmt}",
-               ["--command", "rigidity", "--Ns", "16", "--Ntheta", "32",
-                "--a1", "0.05", "--a2", "-0.06", "--b2", "0.04", "--format", fmt])
+        yield f"rigidity-16x32/{fmt}", [*descent, "--format", fmt]
+        yield (f"rigidity-hyperbolic-16x32/{fmt}",
+               [*descent, "--geometry", "hyperbolic", "--R0", "0.8", "--format", fmt])
     for path in sorted(SCRIPTS.glob("*.cfg")):
         for fmt in ("csv", "json"):
             yield f"{path.name}/{fmt}", [str(path), "--format", fmt]

@@ -110,7 +110,9 @@ def _parse_value(caster: type, key: str, raw: str, where: str):
     try:
         return caster(raw)
     except ValueError:
-        raise ConfigError(f"{where}: key {key!r} expects a {caster.__name__}, "
+        name = caster.__name__
+        article = "an" if name[0] in "aeiou" else "a"
+        raise ConfigError(f"{where}: key {key!r} expects {article} {name}, "
                           f"got {raw!r}") from None
 
 

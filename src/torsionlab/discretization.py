@@ -24,7 +24,8 @@ The resulting system is nonsymmetric.  On a disk its coefficients do not
 depend on theta, so an FFT in theta splits it into one tridiagonal system in
 s per Fourier mode (the fast disk solver of Swarztrauber & Sweet, SIAM
 J. Numer. Anal. 10, 1973); every other domain is factored by one sparse LU.
-Either factor is used for one back-solve, verified by its scaled residual.
+Either factor is used for one back-solve, verified by its scaled residual,
+and is kept on the solution for the back-solves of its shape derivatives.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
     "gradient_field",
     "scalar_gradient",
     "neumann_trace",
+    "neumann_trace_jacobian",
     "trace_moments",
     "boundary_radial_slope",
     "integrate",
@@ -72,6 +74,12 @@ _SERIES_DERIVATIVES = (
     ((-1, np.sin), (1, np.cos)),
     ((-1, np.cos), (-1, np.sin)),
 )
+
+# Imaginary step of the complex-step derivatives (Squire & Trapp, SIAM
+# Review 40, 1998): for f analytic, Im f(x + i e v) / e is f'(x) v to
+# rounding once e is tiny, with no cancellation.  A power of two, so that
+# dividing it out is exact.
+_COMPLEX_STEP = 2.0 ** -100
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,6 +138,23 @@ class StarDomain:
 
     def d2rho(self, theta):
         return self._series(theta, 2)
+
+    def parameter_gradient(self, theta) -> np.ndarray:
+        """Derivatives of (rho, rho', rho'') in (r0, a_1..a_K, b_1..b_K), K = modes.
+
+        Returns an array of shape (3, 1 + 2K, len(theta)).  Each derivative
+        of rho is linear in the coefficients and r0 times its value at
+        r0 = 1, so a_k contributes r0 k^d (sign, basis) of the cosine term.
+        """
+        theta = np.asarray(theta, dtype=float)
+        k = np.arange(1, self.modes + 1, dtype=float)[:, None]
+        angles = k * theta
+        return np.stack([
+            np.concatenate([self._series(theta, d)[None, :] / self.r0]
+                           + [self.r0 * sign * k ** d * basis(angles)
+                              for sign, basis in terms])
+            for d, terms in enumerate(_SERIES_DERIVATIVES)
+        ])
 
     def rotated(self, phase: float) -> "StarDomain":
         """Same shape with the angular origin shifted: rho'(theta) = rho(theta + phase)."""
@@ -227,7 +252,12 @@ class LinearSystem:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteField:
-    """Solution values on a grid plus the metadata needed to post-process them."""
+    """Solution values on a grid plus the metadata needed to post-process them.
+
+    ``factor`` is the factorization of the row-equilibrated matrix that
+    produced the values and ``row_scale`` its row scaling, so
+    ``back_solve`` solves the same system for another right-hand side.
+    """
 
     values: np.ndarray     # (ns, ntheta)
     grid: Grid
@@ -235,6 +265,12 @@ class DiscreteField:
     # Always 0: ``solve`` takes no refinement steps.  Kept only because
     # perfbench/layers.py:_solve_probe reads it for a per-layer metric.
     iterations: int = 0
+    factor: object = None  # ``_DiskFactor`` or SuperLU
+    row_scale: np.ndarray = None
+
+    def back_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with M x = rhs for the assembled (unscaled) matrix M, flattened."""
+        return self.factor.solve(self.row_scale * rhs)
 
     @property
     def profile(self) -> WarpingProfile:
@@ -253,7 +289,7 @@ class SolverConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _mapped_coefficients(grid: Grid):
+def _mapped_coefficients(s, rho, drho, d2rho, hh, hd):
     """Chain-rule coefficients of the operator in (s, theta) coordinates.
 
     With r = s rho(theta) the surface Laplacian u_rr + (h'/h) u_r
@@ -262,60 +298,73 @@ def _mapped_coefficients(grid: Grid):
         A u_ss + B u_st + C u_tt + D u_s
 
     at each node, where the coefficients below absorb the metric and the
-    boundary fit.  B vanishes exactly on disks.
+    boundary fit.  B vanishes exactly on disks.  Takes the column s, the
+    boundary arrays rho, rho', rho'' (theta on the last axis) and h, h' at
+    the nodes; only arithmetic, so complex inputs give complex steps.
     """
-    rho, drho, d2rho = grid.rho, grid.drho, grid.d2rho
-    s = grid.s[:, None]
-    hh, hd = grid.h, grid.h_dot
-    alpha = s * (drho / rho)[None, :]
+    alpha = s * (drho / rho)
     inv_h2 = 1.0 / (hh * hh)
-    A = 1.0 / rho[None, :] ** 2 + alpha * alpha * inv_h2
+    A = 1.0 / rho ** 2 + alpha * alpha * inv_h2
     B = -2.0 * alpha * inv_h2
     C = inv_h2
-    D = (hd / hh) / rho[None, :] \
-        - s * (d2rho / rho - 2.0 * (drho / rho) ** 2)[None, :] * inv_h2
+    D = (hd / hh) / rho \
+        - s * (d2rho / rho - 2.0 * (drho / rho) ** 2) * inv_h2
     return A, B, C, D
 
 
-def assemble(grid: Grid) -> LinearSystem:
-    """Sparse operator and right-hand side for Lap u = 2 h_dot on ``grid.domain``.
+def _stencil(A, B, C, D, ds: float, dt: float) -> np.ndarray:
+    """Arm weights ``weights[1 + dj, 1 + di, ..., j, i]`` of the coefficients.
 
-    ``weights[1 + dj, 1 + di, j, i]`` is the arm from node (j, i) to
-    (j + dj, i + di).  On the last ring each outer arm w is folded through
-    the quadratic Dirichlet ghost u_ghost = u_{last-1}/3 - 2 u_last: it adds
-    -2 w to the arm with dj = 0 and w/3 to the arm with dj = -1.  Ring 0's
-    inner arms point at the antipodal column (i + di + Ntheta/2) mod Ntheta.
-    With Ns >= 8 and Ntheta >= 16 the nine slots of a row then have distinct
-    columns and become the CSR row as they stand, less their exact zeros
-    (the folded arms, and the cross-derivative arms wherever rho' = 0).
+    Linear in (A, B, C, D), whose last two axes are (s, theta).  On the
+    last ring each outer arm w is folded through the quadratic Dirichlet
+    ghost at s = 1 + ds/2, u_ghost = u_{last-1}/3 - 2 u_last: it adds -2 w
+    to the arm with dj = 0, w/3 to the arm with dj = -1, and becomes 0.
     """
-    ns, nt = grid.ns, grid.ntheta
-    ds, dt = grid.ds, grid.dtheta
-    A, B, C, D = _mapped_coefficients(grid)
-
     corner = B / (4.0 * ds * dt)
-    weights = np.empty((3, 3, ns, nt))
+    weights = np.empty((3, 3) + np.shape(A))
     weights[1, 1] = -2.0 * A / ds ** 2 - 2.0 * C / dt ** 2
     weights[2, 1] = A / ds ** 2 + D / (2.0 * ds)
     weights[0, 1] = A / ds ** 2 - D / (2.0 * ds)
     weights[1, 0] = weights[1, 2] = C / dt ** 2
     weights[0, 0] = weights[2, 2] = corner
     weights[0, 2] = weights[2, 0] = -corner
-    # Dirichlet ghost at s = 1 + ds/2, quadratic through u(1) = 0.
-    outer = weights[2, :, -1]
-    weights[1, :, -1] += -2.0 * outer
-    weights[0, :, -1] += outer / 3.0
-    weights[2, :, -1] = 0.0
+    outer = weights[2, :, ..., -1, :]
+    weights[1, :, ..., -1, :] += -2.0 * outer
+    weights[0, :, ..., -1, :] += outer / 3.0
+    weights[2, :, ..., -1, :] = 0.0
+    return weights
 
+
+def _stencil_columns(ns: int, nt: int) -> np.ndarray:
+    """Flat index ``cols[1 + dj, 1 + di, j, i]`` of each arm's node.
+
+    Ring 0's inner arms point at the antipodal column, and the folded outer
+    arms of the last ring at their own ring.
+    """
     step = np.arange(-1, 2)
     ring = np.arange(ns)[:, None] + step[:, None, None]
     angle = (np.arange(nt) + step[:, None]) % nt
     cols = ring[:, None] * nt + angle[None, :, None, :]
     # Across the pole: (s_1 - ds, theta) is (s_1, theta + pi).
     cols[0, :, 0] = (angle + nt // 2) % nt
-    # The folded outer arms now weigh zero; any column inside the grid will do.
+    # The folded outer arms weigh zero; any column inside the grid will do.
     cols[2, :, -1] = cols[1, :, -1]
+    return cols
 
+
+def assemble(grid: Grid) -> LinearSystem:
+    """Sparse operator and right-hand side for Lap u = 2 h_dot on ``grid.domain``.
+
+    The arm from node (j, i) to (j + dj, i + di) has the ``_stencil`` weight
+    at ``_stencil_columns``.  With Ns >= 8 and Ntheta >= 16 the nine slots
+    of a row have distinct columns and become the CSR row as they stand,
+    less their exact zeros (the folded arms, and the cross-derivative arms
+    wherever rho' = 0).
+    """
+    weights = _stencil(*_mapped_coefficients(grid.s[:, None], grid.rho, grid.drho,
+                                             grid.d2rho, grid.h, grid.h_dot),
+                       grid.ds, grid.dtheta)
+    cols = _stencil_columns(grid.ns, grid.ntheta)
     size = grid.size
     matrix = sp.csr_matrix(
         (weights.transpose(2, 3, 0, 1).ravel(), cols.transpose(2, 3, 0, 1).ravel(),
@@ -384,13 +433,13 @@ def _is_disk(grid: Grid) -> bool:
 
 
 def _equilibrated(system: LinearSystem):
-    """Matrix and right-hand side with every row scaled to unit max-norm."""
+    """Matrix with every row scaled to unit max-norm, and the row scale."""
     # Every row holds its nonzero centre weight, so no row is empty.
     M = system.matrix
     inv_max = 1.0 / np.maximum.reduceat(np.abs(M.data), M.indptr[:-1])
     A = M.copy()
     A.data *= np.repeat(inv_max, np.diff(M.indptr))
-    return A, inv_max * system.rhs
+    return A, inv_max
 
 
 def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
@@ -407,12 +456,14 @@ def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
     residual's rounding floor, which fixed-precision iterative refinement
     cannot go below (Higham, Accuracy and Stability of Numerical Algorithms,
     2002, ch. 12).  A residual above tol raises ``SolverConvergenceError``
-    carrying the residual reached.
+    carrying the residual reached.  The field keeps the factor and the row
+    scale for ``DiscreteField.back_solve``.
     """
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    A, b = _equilibrated(system)
+    A, row_scale = _equilibrated(system)
+    b = row_scale * system.rhs
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return DiscreteField(values=np.zeros((system.grid.ns, system.grid.ntheta)),
@@ -431,7 +482,8 @@ def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
             residual=res,
         )
     return DiscreteField(values=x.reshape(system.grid.ns, system.grid.ntheta),
-                         grid=system.grid, residual=res)
+                         grid=system.grid, residual=res, factor=lu,
+                         row_scale=row_scale)
 
 
 def solve_torsion(profile: WarpingProfile, domain: StarDomain, ns: int,
@@ -539,10 +591,21 @@ def scalar_gradient(field: DiscreteField, values: np.ndarray):
     return w_r, w_ang / grid.h
 
 
+def _slope(u: np.ndarray, ds: float) -> np.ndarray:
+    """One-sided second-order u_s at s = 1 of nodal values (s, theta last)."""
+    return (-3.0 * u[..., -1, :] + u[..., -2, :] / 3.0) / ds
+
+
 def boundary_radial_slope(field: DiscreteField) -> np.ndarray:
     """One-sided second-order u_s at s = 1, using u(1) = 0."""
-    u = field.values
-    return (-3.0 * u[-1] + u[-2] / 3.0) / field.grid.ds
+    return _slope(field.values, field.grid.ds)
+
+
+def _trace(u_s, rho, drho, h_b, dtheta: float):
+    """Trace values and weights from u_s, rho, rho' and h(rho) at the boundary."""
+    values = (u_s / rho) * np.sqrt(1.0 + (drho / h_b) ** 2)
+    weights = np.sqrt(drho ** 2 + h_b ** 2) * dtheta
+    return values, weights
 
 
 def neumann_trace(field: DiscreteField):
@@ -553,11 +616,49 @@ def neumann_trace(field: DiscreteField):
     is the boundary measure.
     """
     grid = field.grid
-    rho, drho, h_b = grid.rho, grid.drho, grid.h_boundary
-    u_s = boundary_radial_slope(field)
-    values = (u_s / rho) * np.sqrt(1.0 + (drho / h_b) ** 2)
-    weights = np.sqrt(drho ** 2 + h_b ** 2) * grid.dtheta
-    return values, weights
+    return _trace(boundary_radial_slope(field), grid.rho, grid.drho,
+                  grid.h_boundary, grid.dtheta)
+
+
+def neumann_trace_jacobian(field: DiscreteField):
+    """Exact shape derivatives of ``neumann_trace`` for the discrete problem.
+
+    Returns (d_values, d_weights), each of shape (1 + 2K, ntheta): the
+    derivatives of the trace values and weights in (r0, a_1..a_K,
+    b_1..b_K), K = ``field.domain.modes``.  A parameter p reaches the
+    discrete problem M u = b only through rho, rho', rho'' at the grid
+    angles and through h, h' at the nodes r = s rho, with dh/dp = h' dr/dp
+    and dh'/dp = h'' dr/dp; so u_p = -M^{-1}(M_p u - b_p), one back-solve
+    on the field's factor per parameter.  M_p is the stencil of the
+    coefficient derivatives, and those and the trace's own dependence on
+    the shape are taken by complex steps through ``_mapped_coefficients``
+    and ``_trace``.
+    """
+    grid = field.grid
+    eps = _COMPLEX_STEP
+    gradient = grid.domain.parameter_gradient(grid.theta)
+    d_rho = gradient[0]
+    # rho, rho', rho'', each stepped along every parameter: (P, ntheta).
+    rho, drho, d2rho = (np.stack([grid.rho, grid.drho, grid.d2rho])[:, None, :]
+                        + 1j * eps * gradient)
+    s = grid.s[:, None]
+    d_r = s * d_rho[:, None, :]                 # (P, ns, ntheta)
+    h_ddot = grid.profile.h_ddot(grid.r)
+    coefficients = _mapped_coefficients(
+        s, rho[:, None, :], drho[:, None, :], d2rho[:, None, :],
+        grid.h + 1j * eps * grid.h_dot * d_r, grid.h_dot + 1j * eps * h_ddot * d_r)
+    arm_weights = _stencil(*(c.imag / eps for c in coefficients), grid.ds,
+                           grid.dtheta)
+    arms = field.values.ravel()[_stencil_columns(grid.ns, grid.ntheta)]
+    # M_p u - b_p with b = 2 h'(r) at the nodes.
+    forcing = np.einsum("abpji,abji->pji", arm_weights, arms) - 2.0 * h_ddot * d_r
+    d_u = -np.stack([field.back_solve(f.ravel()) for f in forcing])
+    d_u_s = _slope(d_u.reshape(forcing.shape), grid.ds)
+    d_h_b = grid.profile.h_dot(grid.rho) * d_rho
+    values, weights = _trace(boundary_radial_slope(field) + 1j * eps * d_u_s,
+                             rho, drho, grid.h_boundary + 1j * eps * d_h_b,
+                             grid.dtheta)
+    return values.imag / eps, weights.imag / eps
 
 
 def trace_moments(values, weights):

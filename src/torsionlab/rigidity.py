@@ -6,7 +6,12 @@ entire family of translated disks works.  The objective J below is the
 normalized squared deviation of the Neumann trace from its mean, so J sits
 at the discretization floor exactly on rigid shapes.  ``sweep`` maps J over
 parametrized families.  J is the squared norm of a vector of weighted trace
-residuals, so ``optimize_shape`` descends it by Gauss-Newton least squares.
+residuals, so ``optimize_shape`` descends it by Gauss-Newton least squares,
+with the exact Jacobian of the discrete residuals: one factorization per
+evaluated shape and one back-solve on that factor per shape parameter
+(the shape derivative of Henrot & Pierre, Shape Variation and
+Optimization, EMS 2018, taken on the discrete problem).  ``ball_sigma``
+is its closed form on geodesic balls.
 """
 
 from __future__ import annotations
@@ -19,13 +24,15 @@ from scipy.optimize import least_squares
 
 from .discretization import (
     SOLVER_TOL,
+    DiscreteField,
     SolverConvergenceError,
     StarDomain,
     neumann_trace,
+    neumann_trace_jacobian,
     solve_torsion,
     trace_moments,
 )
-from .geometry import WarpingProfile
+from .geometry import WarpingProfile, warping_jet
 
 __all__ = [
     "NoFeasibleShapeError",
@@ -34,6 +41,7 @@ __all__ = [
     "OptimizationTrace",
     "SweepRow",
     "neumann_deviation",
+    "ball_sigma",
     "offset_disk",
     "offset_family",
     "ball_family",
@@ -52,13 +60,34 @@ class ShapeObjective:
 
     ``residuals`` holds r_i = sqrt(w_i / W) (c_i - c_mean) / c_mean over the
     boundary trace values c_i with quadrature weights w_i summing to W, so
-    sum(r_i^2) equals ``j`` up to rounding.
+    sum(r_i^2) equals ``j`` up to rounding.  ``field`` is the solution,
+    which keeps its factor for ``jacobian``.
     """
 
     j: float
     c_mean: float
     c_std: float
     residuals: np.ndarray
+    field: DiscreteField
+
+    def jacobian(self) -> np.ndarray:
+        """d residuals / d(r0, a_1..a_K, b_1..b_K), K = the domain's modes.
+
+        Exact for the discrete problem, of shape (ntheta, 1 + 2K); it costs
+        one back-solve on the kept factor per column.
+        """
+        values, weights = neumann_trace(self.field)
+        d_values, d_weights = neumann_trace_jacobian(self.field)
+        total = np.sum(weights)
+        mean = np.sum(weights * values) / total
+        d_total = np.sum(d_weights, axis=1, keepdims=True)
+        d_mean = (np.sum(d_weights * values + weights * d_values, axis=1,
+                         keepdims=True) - mean * d_total) / total
+        # r_i = sqrt(w_i / W) (c_i / c_mean - 1)
+        d_residuals = (0.5 * (d_weights / weights - d_total / total) * self.residuals
+                       + np.sqrt(weights / total) * (d_values - values * d_mean / mean)
+                       / mean)
+        return d_residuals.T
 
 
 def neumann_deviation(domain: StarDomain, profile: WarpingProfile, ns: int,
@@ -74,7 +103,23 @@ def neumann_deviation(domain: StarDomain, profile: WarpingProfile, ns: int,
     total, mean, var = trace_moments(values, weights)
     return ShapeObjective(j=var / mean ** 2, c_mean=mean,
                           c_std=math.sqrt(var),
-                          residuals=np.sqrt(weights / total) * (values - mean) / mean)
+                          residuals=np.sqrt(weights / total) * (values - mean) / mean,
+                          field=field)
+
+
+def ball_sigma(profile: WarpingProfile, r0: float, k: int) -> float:
+    """sigma_k = (h'(r0) - k) / h(r0): a geodesic ball's trace response to mode k.
+
+    The k-th harmonic extension f_k = -h(r0) (t / t(r0))^k, with t the
+    conformal radius (t'/t = 1/h), has f_k'(r0) = -k in every profile.  So
+    moving the boundary of the ball of radius r0 to
+    rho = r0 (1 + a_k cos k theta + b_k sin k theta) changes the Neumann
+    trace h(r0) by r0 (h'(r0) - k)(a_k cos k theta + b_k sin k theta) to
+    first order, the residuals by sqrt(w_i / W) r0 sigma_k times the same
+    harmonic, and J = r0^2 (a_k^2 + b_k^2) sigma_k^2 / 2 up to higher order.
+    """
+    warp = warping_jet(profile, r0)
+    return (warp.d1 - k) / warp.value
 
 
 def offset_disk(radius: float, offset: float, modes: int = 24) -> StarDomain:
@@ -161,13 +206,16 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
     """Gauss-Newton descent of J over (a_1..a_K, b_2..b_K) at fixed r0.
 
     J is the squared norm of the weighted trace residuals, so
-    ``scipy.optimize.least_squares`` (trust-region reflective, with a
-    forward-difference Jacobian) minimizes it directly.  r0 stays at the
-    start's value: every pole-centred ball is rigid, so a J = 0 shape stays
-    reachable, and a free r0 drifts to the flat limit where off-centre caps
-    are nearly rigid too.  Every solve counts as an evaluation, Jacobian
-    columns included, and ``evaluations`` never exceeds ``budget``.  Invalid
-    trial shapes get non-finite residuals, which shrink the trust region.
+    ``scipy.optimize.least_squares`` (trust-region reflective) minimizes it
+    directly, with the exact Jacobian ``ShapeObjective.jacobian`` of the
+    last solved shape.  r0 stays at the start's value: every pole-centred
+    ball is rigid, so a J = 0 shape stays reachable, and a free r0 drifts to
+    the flat limit where off-centre caps are nearly rigid too.  Every call
+    of ``neumann_deviation`` (one factorization) counts as an evaluation,
+    and ``evaluations`` never exceeds ``budget``; a Jacobian asked for at
+    any other shape than the last solved one costs an evaluation too.
+    Invalid trial shapes get non-finite residuals, which shrink the trust
+    region.
     The run ends at the first evaluation with J <= ``target_j``, when the
     budget is spent (the best iterate seen is returned with
     ``converged=False``), or when least_squares stops on its own
@@ -183,12 +231,15 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
         raise ValueError(f"evaluation budget must be at least 50, got {budget}")
 
     r0 = initial.r0
+    # x = (a_1..a_K, b_2..b_K) is columns 1..K and K+2..2K of the Jacobian.
+    columns = np.r_[1:modes + 1, modes + 2:2 * modes + 1]
     evaluations = 0
     rows: list[TraceRow] = []
     best_x, best_j = None, math.inf
+    last = (None, None)  # (x, objective) of the last solved shape
 
-    def residuals(x: np.ndarray) -> np.ndarray:
-        nonlocal evaluations, best_x, best_j
+    def evaluate(x: np.ndarray):
+        nonlocal evaluations, best_x, best_j, last
         if evaluations >= budget:
             raise _Stop("budget exhausted")
         evaluations += 1
@@ -199,7 +250,7 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
             if best_x is None:
                 raise NoFeasibleShapeError(
                     "no feasible shape: the start shape cannot be solved") from None
-            return np.full(ntheta, math.nan)
+            return None
         if obj.j < best_j:
             step = 0.0 if best_x is None else float(np.linalg.norm(x - best_x))
             best_x, best_j = x.copy(), obj.j
@@ -207,20 +258,26 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
                                  domain.cos_coeffs, domain.sin_coeffs, step))
         if obj.j <= target_j:
             raise _Stop("target reached")
-        return obj.residuals
+        last = (x.copy(), obj)
+        return obj
+
+    def residuals(x: np.ndarray) -> np.ndarray:
+        obj = evaluate(x)
+        return np.full(ntheta, math.nan) if obj is None else obj.residuals
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        # trf asks at the shape it has just evaluated and accepted.
+        obj = last[1] if np.array_equal(x, last[0]) else evaluate(x)
+        return obj.jacobian()[:, columns]
 
     try:
-        result = least_squares(residuals, _pack(initial, modes), method="trf",
-                               max_nfev=budget)
+        result = least_squares(residuals, _pack(initial, modes), jac=jacobian,
+                               method="trf", max_nfev=budget)
         # Status 0 is trf's own evaluation cap; 1-4 are its tolerance tests,
         # reported under the frozen CLI status name "simplex collapsed".
         status = "simplex collapsed" if result.status > 0 else "budget exhausted"
     except _Stop as stop:
         status, = stop.args
-    except ValueError:
-        # A difference step from the best iterate left the feasible set, so
-        # the Jacobian is not finite and trf cannot form its next model.
-        status = "simplex collapsed"
     return OptimizationTrace(
         rows=tuple(rows), best_domain=_unpack(best_x, r0, modes),
         best_j=best_j, evaluations=evaluations,

@@ -438,6 +438,15 @@ class TestMainArgv:
         assert rc == 2
         assert "invalid config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--Ns", "3.5", "key 'Ns' expects an int, got '3.5'"),
+        ("--R0", "wide", "key 'R0' expects a float, got 'wide'"),
+    ])
+    def test_bad_value_type_on_stderr(self, capsys, flag, value, message):
+        rc = main(["--command", "radial", flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err == f"invalid config: flag {flag}: {message}\n"
+
     def test_flag_without_value(self, capsys):
         rc = main(["--Ns"])
         assert rc == 2

@@ -3,7 +3,9 @@
 The floor values (1e-20 and below) reflect a measured property of the
 scheme: on any domain whose discrete trace is theta-independent the
 objective J collapses to rounding noise at every resolution, so balls sit
-many orders below the truncation scale of non-round shapes.
+many orders below the truncation scale of non-round shapes.  The exact
+shape Jacobian is checked against central differences on star domains and
+against the closed form sigma_k on geodesic balls.
 """
 
 import itertools
@@ -15,10 +17,13 @@ import pytest
 import torsionlab.rigidity as rigidity
 from torsionlab import (
     NoFeasibleShapeError,
+    SolverConvergenceError,
     StarDomain,
     ball_family,
+    ball_sigma,
     make_profile,
     neumann_deviation,
+    neumann_trace,
     offset_disk,
     offset_family,
     optimize_shape,
@@ -30,6 +35,8 @@ SPHERE = make_profile("spherical", math.pi / 2)
 HYPER = make_profile("hyperbolic", 5.0)
 
 OFFSETS = (0.0, 0.05, 0.1, 0.2)
+PROFILES = {"euclidean": EUCLID, "spherical": SPHERE, "hyperbolic": HYPER}
+BALL_RADIUS = {"euclidean": 1.0, "spherical": math.pi / 4, "hyperbolic": 0.8}
 
 
 def roundness_of(domain):
@@ -182,11 +189,23 @@ class TestOptimizeShape:
         assert trace.best_j == js[-1]
         assert all(row.spread >= 0.0 for row in trace.rows)
 
-    def test_budget_exhaustion_returns_best(self):
-        # Eight modes make each difference Jacobian cost 15 solves, so the
-        # budget runs out before trf's own tolerances can stop it.
+    def test_budget_exhaustion_returns_best(self, monkeypatch):
+        # After two solved shapes every trial shape fails to solve.  trf
+        # answers a non-finite trial by shrinking its trust region without
+        # testing its tolerances, so only the budget ends the run.
+        deviation = rigidity.neumann_deviation
+        calls = []
+
+        def solvable_twice(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) > 2:
+                raise SolverConvergenceError("unsolvable trial shape", math.inf)
+            return deviation(*args, **kwargs)
+
+        monkeypatch.setattr(rigidity, "neumann_deviation", solvable_twice)
         trace = optimize_shape(StarDomain(math.pi / 4, (0.0, 0.1)), 8, SPHERE,
                                budget=50, ns=16, ntheta=32, target_j=0.0)
+        assert trace.best_j == trace.rows[-1].j < trace.rows[0].j
         assert not trace.converged
         assert trace.status == "budget exhausted"
         assert trace.evaluations <= 51
@@ -254,10 +273,120 @@ class TestOptimizeShape:
         assert trace.best_domain.r0 == start.r0
 
     def test_start_within_a_difference_step_of_the_bound(self):
-        # A forward-difference column crosses r_max, so trf cannot form a
-        # model there: the run stops with the start as its best shape.
+        # The start reaches within 1e-9 of r_max.  The exact Jacobian needs
+        # no shape beyond the start, so the descent is as from any start
+        # (2 evaluations measured).
         start = StarDomain((math.pi / 2 - 1e-9) / 1.04, (0.0, 0.04))
         trace = optimize_shape(start, 2, SPHERE, budget=50, ns=16, ntheta=32)
-        assert trace.status == "simplex collapsed"
+        assert trace.status == "target reached"
         assert math.isfinite(trace.best_j)
-        assert trace.evaluations <= 50
+        assert trace.best_j < 1e-7
+        assert trace.evaluations <= 4
+
+    def test_every_row_after_the_first_is_a_step(self):
+        # Rows are written only at shapes trf chose, so no row is a probe
+        # about 1.5e-8 from an iterate.  Measured: one row after the start,
+        # with spread 0.1.
+        trace = optimize_shape(StarDomain(math.pi / 4, (0.0, 0.1)), 2, SPHERE,
+                               budget=200, ns=16, ntheta=32)
+        assert len(trace.rows) >= 2
+        assert all(row.spread > 1e-3 for row in trace.rows[1:])
+
+
+def residual_parameters(domain):
+    """(r0, a_1..a_K, b_1..b_K) of a domain, K = its modes."""
+    a = np.zeros(domain.modes)
+    b = np.zeros(domain.modes)
+    a[:len(domain.cos_coeffs)] = domain.cos_coeffs
+    b[:len(domain.sin_coeffs)] = domain.sin_coeffs
+    return np.concatenate([[domain.r0], a, b])
+
+
+def domain_of(p, modes):
+    return StarDomain(p[0], tuple(p[1:modes + 1]), tuple(p[modes + 1:]))
+
+
+class TestShapeJacobian:
+    @pytest.mark.parametrize("ns", (16, 32))
+    @pytest.mark.parametrize("geometry", PROFILES)
+    def test_matches_central_differences(self, geometry, ns):
+        # Step 1e-5: measured agreement 2e-10 to 4.4e-10 of max |J| (a step
+        # of 1e-4 reads 2e-8, so this is the differences' own error).
+        profile = PROFILES[geometry]
+        domain = StarDomain(BALL_RADIUS[geometry], (0.05, -0.06), (0.03, 0.04))
+        jac = neumann_deviation(domain, profile, ns, 2 * ns).jacobian()
+        p = residual_parameters(domain)
+        assert jac.shape == (2 * ns, p.size)
+        step = 1e-5
+        central = np.empty_like(jac)
+        for column in range(p.size):
+            e = np.zeros_like(p)
+            e[column] = step
+            up, down = (neumann_deviation(domain_of(p + sign * e, domain.modes),
+                                          profile, ns, 2 * ns).residuals
+                        for sign in (1.0, -1.0))
+            central[:, column] = (up - down) / (2.0 * step)
+        assert np.max(np.abs(jac - central)) < 2e-9 * np.max(np.abs(jac))
+
+    def test_ball_sigma_closed_form(self):
+        assert ball_sigma(EUCLID, 2.0, 1) == 0.0
+        assert ball_sigma(EUCLID, 2.0, 3) == -1.0
+        assert ball_sigma(SPHERE, 1.2, 3) == pytest.approx(
+            (math.cos(1.2) - 3.0) / math.sin(1.2), rel=1e-15)
+        assert ball_sigma(HYPER, math.acosh(2.0), 2) == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(ValueError):
+            ball_sigma(SPHERE, math.pi / 2, 1)
+
+    @pytest.mark.parametrize("geometry", PROFILES)
+    def test_ball_jacobian_is_sigma(self, geometry):
+        # dr_i/da_k = sqrt(w_i / W) r0 sigma_k cos(k theta_i), sin for b_k,
+        # and the r0 column vanishes: a ball stays a ball.  Measured relative
+        # error at ns = 32/64/128: 1.2e-3, 2.9e-4, 7.4e-5 at most (order 2).
+        profile, r0, modes = PROFILES[geometry], BALL_RADIUS[geometry], 3
+        k = np.arange(1, modes + 1)
+        sigma = np.array([ball_sigma(profile, r0, kk) for kk in k])
+        errors = []
+        for ns in (32, 64, 128):
+            obj = neumann_deviation(StarDomain(r0, (0.0,) * modes, (0.0,) * modes),
+                                    profile, ns, 2 * ns)
+            jac = obj.jacobian()
+            _, weights = neumann_trace(obj.field)
+            angles = np.outer(k, obj.field.grid.theta)
+            scale = np.sqrt(weights / np.sum(weights)) * r0
+            want = scale[:, None] * np.concatenate(
+                [sigma[:, None] * np.cos(angles), sigma[:, None] * np.sin(angles)]).T
+            assert np.max(np.abs(jac[:, 0])) < 1e-15
+            errors.append(np.max(np.abs(jac[:, 1:] - want)) / np.max(np.abs(want)))
+        assert errors[1] < errors[0] / 3.0 and errors[2] < errors[1] / 3.0, errors
+        assert errors[2] < 1e-4, errors
+
+    # (geometry, r0, k, predicted J at a_k = 1e-3 to 5 digits)
+    SECOND_VARIATION = (
+        ("euclidean", 1.0, 2, 5.0000e-7),
+        ("euclidean", 1.0, 3, 2.0000e-6),
+        ("spherical", math.pi / 4, 1, 5.2917e-8),
+        ("spherical", 1.2, 3, 5.7663e-6),
+        ("hyperbolic", 0.8, 2, 1.7811e-7),
+    )
+
+    @pytest.mark.parametrize("geometry,r0,k,table", SECOND_VARIATION,
+                             ids=lambda v: str(v))
+    def test_ball_j_is_the_second_variation(self, geometry, r0, k, table):
+        # J = r0^2 (a_k^2 + b_k^2) sigma_k^2 / 2 up to a relative O(a_k^2)
+        # (J is even in a_k: a rotation by pi/k flips its sign).  Measured
+        # relative error at ns = 32/64/128 falls by 3.3x to 4x per doubling,
+        # to 1.9e-5 .. 1.6e-4.  In the plane the scheme is exact on the k = 2
+        # harmonic r^2 cos 2theta, so that row sits at the amplitude term
+        # 3.0e-6 at every ns (3.0e-8 at a_2 = 1e-4).
+        profile, amplitude = PROFILES[geometry], 1e-3
+        predicted = 0.5 * r0 ** 2 * amplitude ** 2 * ball_sigma(profile, r0, k) ** 2
+        assert predicted == pytest.approx(table, rel=1e-4)
+        coeffs = (0.0,) * (k - 1) + (amplitude,)
+        errors = [abs(neumann_deviation(StarDomain(r0, coeffs), profile, ns, 2 * ns).j
+                      - predicted) / predicted
+                  for ns in (32, 64, 128)]
+        if (geometry, k) == ("euclidean", 2):
+            assert max(errors) < 4e-6, errors
+        else:
+            assert errors[1] < errors[0] / 3.0 and errors[2] < errors[1] / 3.0, errors
+            assert errors[2] < 2e-4, errors
