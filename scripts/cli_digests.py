@@ -3,8 +3,9 @@
 
 Prints one line ``<run> <exit code> <sha256[:16]>`` per run, the digest
 being of the run's stdout.  The runs are solve, verify, radial (at n = 2,
-3 and 5) and sweep in every geometry, three rigidity descents and the run
-configs in this directory, each in both output formats.  The last lines,
+3 and 5) and sweep in every geometry, three rigidity descents, a sweep
+whose offsets include -0.0 and 0, and the run configs in this directory,
+each in both output formats.  The last lines,
 ``pointwise/<geometry>/n<k> 0 <sha256[:16]>``, digest the ``repr``s of the
 three pointwise residuals at 50 midpoint radii of R0 = 0.7 instead, for
 n = 2, 3 and 5; they run no CLI, so their code is always 0.
@@ -67,6 +68,11 @@ def runs():
         yield f"rigidity-16x32/{fmt}", [*descent, "--format", fmt]
         yield (f"rigidity-hyperbolic-16x32/{fmt}",
                [*descent, "--geometry", "hyperbolic", "--R0", "0.8", "--format", fmt])
+    # Offsets -0.0 and 0 print as "-0" and "0" in the parameter column.
+    signed_zero = ["--command", "sweep", *GRID, "--family", "offset",
+                   "--family_values", "-0.0,0,0.1"]
+    for fmt in ("csv", "json"):
+        yield f"sweep-signed-zero/{fmt}", [*signed_zero, "--format", fmt]
     for path in sorted(SCRIPTS.glob("*.cfg")):
         for fmt in ("csv", "json"):
             yield f"{path.name}/{fmt}", [str(path), "--format", fmt]

@@ -25,7 +25,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import groupby
 
 import numpy as np
 
@@ -239,27 +239,49 @@ def _cell_spec(kind: type) -> str:
     return "%.17g"
 
 
-def _format_cell(value) -> str:
-    return _cell_spec(type(value)) % (value,)
+def _column_cells(column, end: str) -> list:
+    """CSV cells of one column, each followed by ``end``.
+
+    Each distinct value is formatted once.  A float64 array is formatted
+    once per distinct bit pattern, so 0.0 and -0.0 stay apart.  A list is
+    split into runs of one cell type: a run with the float spec is
+    formatted cell by cell, any other run (ints, strings, None) once per
+    distinct value, so no memo mixes types or specs.
+    """
+    if isinstance(column, np.ndarray):
+        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        text = list(map(("%.17g" + end).__mod__, bits.view(np.float64).tolist()))
+        return np.array(text, dtype=object)[inverse].tolist()
+    cells = []
+    stop = 0
+    for kind, run in groupby(map(type, column)):
+        start, stop = stop, stop + len(list(run))
+        values = column[start:stop]
+        spec = _cell_spec(kind)
+        if spec == "%.17g":
+            cells += map((spec + end).__mod__, values)
+        else:
+            text = {value: (spec + end) % (value,) for value in set(values)}
+            cells += map(text.__getitem__, values)
+    return cells
 
 
-def _csv_lines(rows):
-    """One CSV line per row, each from one template cached per cell types."""
-    templates = {}
-    for row in rows:
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join(map(_cell_spec, kinds)) + "\n"
-        yield template % row
+def _emit(table: dict, cfg: RunConfig) -> None:
+    """Write a table, column name -> column, as CSV or JSON.
 
-
-def _emit(rows, columns: list, cfg: RunConfig) -> None:
-    """Write rows, tuples of cells in column order, as CSV or JSON."""
+    Every column has one cell per row; a column is a list of cells or a 1-d
+    float64 array.  CSV lines are put together column by column.
+    """
     if cfg.format == "csv":
-        payload = ",".join(columns) + "\n" + "".join(_csv_lines(rows))
+        width = len(table)
+        cells = [None] * (len(next(iter(table.values()))) * width)
+        for k, column in enumerate(table.values()):
+            cells[k::width] = _column_cells(column, "," if k < width - 1 else "\n")
+        payload = ",".join(table) + "\n" + "".join(cells)
     else:
-        payload = json.dumps([dict(zip(columns, row)) for row in rows],
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c
+                   for c in table.values()]
+        payload = json.dumps([dict(zip(table, row)) for row in zip(*columns)],
                              indent=2, allow_nan=True) + "\n"
     if cfg.out is None:
         sys.stdout.write(payload)
@@ -271,17 +293,23 @@ def _emit(rows, columns: list, cfg: RunConfig) -> None:
             raise ConfigError(f"cannot write output {cfg.out!r}: {exc}") from None
 
 
+def _columns(records, names) -> dict:
+    """Table of the attributes ``names`` of each record, one column per name."""
+    return {name: [getattr(rec, name) for rec in records] for name in names}
+
+
 def _run_radial(cfg: RunConfig) -> int:
     profile = cfg.profile()
     sol = radial_torsion_solution(profile, cfg.n, cfg.R0)
-    rows = []
     radii = [cfg.R0 * (j - 0.5) / cfg.Ns for j in range(1, cfg.Ns + 1)]
+    samples = []
     for r in radii:
-        rows.append(("sample", "u", r, float(sol.u(r))))
-        rows.append(("sample", "u_r", r, float(sol.u_r(r))))
-    for name, value in compute_catalog(sol).as_dict().items():
-        rows.append(("catalog", name, None, value))
-    _emit(rows, ["record", "name", "r", "value"], cfg)
+        samples += (float(sol.u(r)), float(sol.u_r(r)))
+    catalog = compute_catalog(sol).as_dict()
+    _emit({"record": ["sample"] * len(samples) + ["catalog"] * len(catalog),
+           "name": ["u", "u_r"] * len(radii) + list(catalog),
+           "r": [r for r in radii for _ in range(2)] + [None] * len(catalog),
+           "value": samples + list(catalog.values())}, cfg)
     return 0
 
 
@@ -291,14 +319,14 @@ def _run_solve(cfg: RunConfig) -> int:
     grid = field_.grid
     values, weights = neumann_trace(field_)
     ns, nt = grid.ns, grid.ntheta
-    j, i = np.divmod(np.arange(grid.size), nt)
-    theta = grid.theta.tolist()
-    rows = list(zip(repeat("node"), j.tolist(), i.tolist(), theta * ns,
-                    grid.r.ravel().tolist(), field_.values.ravel().tolist(),
-                    repeat(None)))
-    rows += zip(repeat("neumann"), repeat(None), range(nt), theta,
-                grid.rho.tolist(), values.tolist(), weights.tolist())
-    _emit(rows, ["record", "j", "i", "theta", "r", "value", "weight"], cfg)
+    # Node rows ring by ring, then one Neumann row per boundary angle.
+    _emit({"record": ["node"] * grid.size + ["neumann"] * nt,
+           "j": np.repeat(np.arange(ns), nt).tolist() + [None] * nt,
+           "i": list(range(nt)) * (ns + 1),
+           "theta": np.tile(grid.theta, ns + 1),
+           "r": np.concatenate([grid.r.ravel(), grid.rho]),
+           "value": np.concatenate([field_.values.ravel(), values]),
+           "weight": [None] * grid.size + weights.tolist()}, cfg)
     return 0
 
 
@@ -306,25 +334,26 @@ def _run_verify(cfg: RunConfig) -> int:
     field_ = solve_torsion(cfg.profile(), cfg.domain(), cfg.Ns, cfg.Ntheta,
                            tol=cfg.tol)
     report = identity_report(compute_catalog(field_), cfg.report_tol)
-    rows = [(rec.label, rec.hypothesis_class, rec.lhs, rec.rhs,
-             rec.abs_residual, rec.rel_residual, rec.verdict) for rec in report]
-    _emit(rows, ["label", "hypothesis_class", "lhs", "rhs", "abs_residual",
-                 "rel_residual", "verdict"], cfg)
+    _emit(_columns(report.records, ["label", "hypothesis_class", "lhs", "rhs",
+                                    "abs_residual", "rel_residual", "verdict"]),
+          cfg)
     return 0 if report.all_applicable_pass else 1
 
 
 def _run_rigidity(cfg: RunConfig) -> int:
     trace = optimize_shape(cfg.domain(), cfg.modes, cfg.profile(), cfg.budget,
                            cfg.Ns, cfg.Ntheta, solver_tol=cfg.tol)
-    columns = (["index", "evaluations", "j", "spread", "r0"]
-               + [f"a{k}" for k in range(1, cfg.modes + 1)]
-               + [f"b{k}" for k in range(1, cfg.modes + 1)]
-               + ["status"])
-    rows = [(row.index, row.evaluations, row.j, row.spread, row.r0,
-             *row.cos_coeffs, *row.sin_coeffs, None) for row in trace.rows]
+    rows = trace.rows
+    table = _columns(rows, ["index", "evaluations", "j", "spread", "r0"])
+    for k in range(cfg.modes):
+        table[f"a{k + 1}"] = [row.cos_coeffs[k] for row in rows]
+    for k in range(cfg.modes):
+        table[f"b{k + 1}"] = [row.sin_coeffs[k] for row in rows]
+    # The status is written on the last row only.
+    table["status"] = [None] * len(rows)
     if rows:
-        rows[-1] = rows[-1][:-1] + (trace.status,)
-    _emit(rows, columns, cfg)
+        table["status"][-1] = trace.status
+    _emit(table, cfg)
     return 0
 
 
@@ -335,8 +364,7 @@ def _run_sweep(cfg: RunConfig) -> int:
     else:
         family = ball_family(cfg.family_values)
     table = sweep(family, profile, cfg.Ns, cfg.Ntheta, tol=cfg.tol)
-    rows = [(r.parameter, r.j, r.c_mean, r.c_std, r.status) for r in table]
-    _emit(rows, ["parameter", "j", "c_mean", "c_std", "status"], cfg)
+    _emit(_columns(table, ["parameter", "j", "c_mean", "c_std", "status"]), cfg)
     return 0
 
 

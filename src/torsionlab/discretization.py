@@ -269,8 +269,12 @@ class DiscreteField:
     row_scale: np.ndarray = None
 
     def back_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with M x = rhs for the assembled (unscaled) matrix M, flattened."""
-        return self.factor.solve(self.row_scale * rhs)
+        """x with M x = rhs for the assembled (unscaled) matrix M, flattened.
+
+        ``rhs`` is one right-hand side of shape (size,) or m of them as the
+        columns of a (size, m) array; x has the shape of ``rhs``.
+        """
+        return self.factor.solve((self.row_scale * rhs.T).T)
 
     @property
     def profile(self) -> WarpingProfile:
@@ -387,8 +391,9 @@ class _DiskFactor:
     entries are the rfft of the ring's first row, read from the assembled
     matrix, so the pole fold (-1)^k and the Dirichlet ghost come with it.
     All modes are stacked into one block tridiagonal matrix, factored by a
-    single ``dgttrf``; ``solve`` mirrors SuperLU's and runs one ``dgttrs``
-    with the real and imaginary parts as two right-hand sides.
+    single ``dgttrf``; ``solve`` mirrors SuperLU's, for one right-hand side
+    of shape (size,) or m as the columns of a (size, m) array, and runs one
+    ``dgttrs`` with the real and imaginary parts as 2m right-hand sides.
     """
 
     def __init__(self, matrix: sp.csr_matrix, ntheta: int):
@@ -411,13 +416,15 @@ class _DiskFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         ns, nt = self._shape
-        spectrum = np.fft.rfft(rhs.reshape(ns, nt), axis=1).T
-        parts = np.empty((spectrum.size, 2), order="F")
-        parts[:, 0] = spectrum.real.ravel()
-        parts[:, 1] = spectrum.imag.ravel()
+        spectrum = np.fft.rfft(rhs.reshape(ns, nt, -1), axis=1)
+        m = spectrum.shape[2]
+        stacked = spectrum.transpose(1, 0, 2).reshape(-1, m)
+        parts = np.empty((stacked.shape[0], 2 * m), order="F")
+        parts[:, :m] = stacked.real
+        parts[:, m:] = stacked.imag
         x, _ = lapack.dgttrs(*self._factor, parts, overwrite_b=1)
-        modes = (x[:, 0] + 1j * x[:, 1]).reshape(-1, ns).T
-        return np.fft.irfft(modes, n=nt, axis=1).ravel()
+        modes = (x[:, :m] + 1j * x[:, m:]).reshape(-1, ns, m).transpose(1, 0, 2)
+        return np.fft.irfft(modes, n=nt, axis=1).reshape(rhs.shape)
 
 
 def _is_disk(grid: Grid) -> bool:
@@ -620,23 +627,26 @@ def neumann_trace(field: DiscreteField):
                   grid.h_boundary, grid.dtheta)
 
 
-def neumann_trace_jacobian(field: DiscreteField):
+def neumann_trace_jacobian(field: DiscreteField, parameters=None):
     """Exact shape derivatives of ``neumann_trace`` for the discrete problem.
 
-    Returns (d_values, d_weights), each of shape (1 + 2K, ntheta): the
-    derivatives of the trace values and weights in (r0, a_1..a_K,
-    b_1..b_K), K = ``field.domain.modes``.  A parameter p reaches the
-    discrete problem M u = b only through rho, rho', rho'' at the grid
+    Returns (d_values, d_weights), each of shape (P, ntheta): the
+    derivatives of the trace values and weights in the parameters
+    (r0, a_1..a_K, b_1..b_K), K = ``field.domain.modes``, or only in those
+    at the indices ``parameters`` into that tuple.  A parameter p reaches
+    the discrete problem M u = b only through rho, rho', rho'' at the grid
     angles and through h, h' at the nodes r = s rho, with dh/dp = h' dr/dp
     and dh'/dp = h'' dr/dp; so u_p = -M^{-1}(M_p u - b_p), one back-solve
-    on the field's factor per parameter.  M_p is the stencil of the
-    coefficient derivatives, and those and the trace's own dependence on
-    the shape are taken by complex steps through ``_mapped_coefficients``
-    and ``_trace``.
+    on the field's factor with one column per parameter.  M_p is the
+    stencil of the coefficient derivatives, and those and the trace's own
+    dependence on the shape are taken by complex steps through
+    ``_mapped_coefficients`` and ``_trace``.
     """
     grid = field.grid
     eps = _COMPLEX_STEP
     gradient = grid.domain.parameter_gradient(grid.theta)
+    if parameters is not None:
+        gradient = gradient[:, parameters]
     d_rho = gradient[0]
     # rho, rho', rho'', each stepped along every parameter: (P, ntheta).
     rho, drho, d2rho = (np.stack([grid.rho, grid.drho, grid.d2rho])[:, None, :]
@@ -652,7 +662,7 @@ def neumann_trace_jacobian(field: DiscreteField):
     arms = field.values.ravel()[_stencil_columns(grid.ns, grid.ntheta)]
     # M_p u - b_p with b = 2 h'(r) at the nodes.
     forcing = np.einsum("abpji,abji->pji", arm_weights, arms) - 2.0 * h_ddot * d_r
-    d_u = -np.stack([field.back_solve(f.ravel()) for f in forcing])
+    d_u = -field.back_solve(forcing.reshape(len(forcing), -1).T).T
     d_u_s = _slope(d_u.reshape(forcing.shape), grid.ds)
     d_h_b = grid.profile.h_dot(grid.rho) * d_rho
     values, weights = _trace(boundary_radial_slope(field) + 1j * eps * d_u_s,

@@ -70,14 +70,15 @@ class ShapeObjective:
     residuals: np.ndarray
     field: DiscreteField
 
-    def jacobian(self) -> np.ndarray:
+    def jacobian(self, parameters=None) -> np.ndarray:
         """d residuals / d(r0, a_1..a_K, b_1..b_K), K = the domain's modes.
 
-        Exact for the discrete problem, of shape (ntheta, 1 + 2K); it costs
-        one back-solve on the kept factor per column.
+        Exact for the discrete problem, of shape (ntheta, 1 + 2K), or only
+        the columns at the indices ``parameters``; it costs one back-solve
+        on the kept factor with one right-hand side per column.
         """
         values, weights = neumann_trace(self.field)
-        d_values, d_weights = neumann_trace_jacobian(self.field)
+        d_values, d_weights = neumann_trace_jacobian(self.field, parameters)
         total = np.sum(weights)
         mean = np.sum(weights * values) / total
         d_total = np.sum(d_weights, axis=1, keepdims=True)
@@ -268,7 +269,7 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
     def jacobian(x: np.ndarray) -> np.ndarray:
         # trf asks at the shape it has just evaluated and accepted.
         obj = last[1] if np.array_equal(x, last[0]) else evaluate(x)
-        return obj.jacobian()[:, columns]
+        return obj.jacobian(columns)
 
     try:
         result = least_squares(residuals, _pack(initial, modes), jac=jacobian,

@@ -1,16 +1,18 @@
 """Config parsing, command dispatch, serialization and exit codes."""
 
+import contextlib
 import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torsionlab.cli as cli
 from torsionlab import neumann_trace, solve_torsion
 from torsionlab.cli import ConfigError, RunConfig, main, parse_config, run
-from torsionlab.cli import _format_cell
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -256,14 +258,25 @@ class TestOtherCommands:
         assert "no feasible shape" in captured.err
 
 
+def csv_cells(column):
+    """The CSV cells that the writer makes of a one-column table."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit({"c": column}, RunConfig())
+    header, *cells, last = out.getvalue().split("\n")
+    assert header == "c" and last == ""
+    return cells
+
+
 class TestSerialization:
     def test_full_precision_cells(self):
-        assert _format_cell(math.pi) == "3.1415926535897931"
-        assert float(_format_cell(math.pi)) == math.pi
-        assert float(_format_cell(1.0 / 3.0)) == 1.0 / 3.0
-        assert _format_cell(7) == "7"
-        assert _format_cell(None) == ""
-        assert _format_cell("pass") == "pass"
+        assert csv_cells([math.pi]) == ["3.1415926535897931"]
+        assert float(csv_cells([math.pi])[0]) == math.pi
+        assert float(csv_cells([1.0 / 3.0])[0]) == 1.0 / 3.0
+        assert csv_cells([7]) == ["7"]
+        assert csv_cells([None]) == [""]
+        assert csv_cells(["pass"]) == ["pass"]
+        assert csv_cells(np.array([math.pi, 1.0 / 3.0])) == csv_cells([math.pi, 1.0 / 3.0])
 
     def test_byte_determinism(self, tmp_path):
         path = write_config(tmp_path, VERIFY_FLOWER)
@@ -297,7 +310,7 @@ class TestSerialization:
         header = csv_lines[0].split(",")
         for row, line in zip(rows, csv_lines[1:]):
             assert list(row.keys()) == header
-            assert [_format_cell(v) for v in row.values()] == line.split(",")
+            assert [reference_cell(v) for v in row.values()] == line.split(",")
 
     def test_out_file_and_quiet_stdout(self, tmp_path, capsys):
         path = write_config(tmp_path, VERIFY_FLOWER)
@@ -309,8 +322,9 @@ class TestSerialization:
         assert open(target).read().startswith("label,")
 
 
-# The writer before tuple rows and cached line templates: one dict per row,
-# one formatted cell at a time.  Every command's bytes must stay the same.
+# The writer before column tables, tuple rows and cached line templates: one
+# dict per row, one formatted cell at a time.  Every command's bytes must
+# stay the same.
 def reference_cell(value):
     if value is None:
         return ""
@@ -332,6 +346,19 @@ def reference_payload(dict_rows, columns, fmt):
                       indent=2, allow_nan=True) + "\n"
 
 
+def table_rows(table):
+    """One dict per row of a column table; array cells become Python floats."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+    assert len({len(c) for c in columns}) == 1
+    return [dict(zip(table, row)) for row in zip(*columns)]
+
+
+def emitted_payload(tmp_path, table, fmt):
+    out = str(tmp_path / "out")
+    cli._emit(table, RunConfig(format=fmt, out=out))
+    return open(out, newline="").read()
+
+
 def reference_solve_rows(cfg):
     field_ = solve_torsion(cfg.profile(), cfg.domain(), cfg.Ns, cfg.Ntheta,
                            tol=cfg.tol)
@@ -350,10 +377,35 @@ def reference_solve_rows(cfg):
     return rows
 
 
+def capture_tables(monkeypatch):
+    """Record every table handed to the writer, then write it as usual."""
+    emitted = []
+    emit = cli._emit
+
+    def capture(table, cfg):
+        emitted.append(dict(table))
+        emit(table, cfg)
+
+    monkeypatch.setattr(cli, "_emit", capture)
+    return emitted
+
+
+def is_column(column):
+    return isinstance(column, list) or (isinstance(column, np.ndarray)
+                                        and column.dtype == np.float64
+                                        and column.ndim == 1)
+
+
+SIGNED_ZEROS = [0.0, -0.0, -0.0, 0.0]
+SPECIAL_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  1.7976931348623157e308, 0.1, 1e17]
+
+
 class TestWriterBytes:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("text", [SOLVE_BALL, SOLVE_FLOWER], ids=["ball", "star"])
-    def test_solve_matches_reference(self, tmp_path, fmt, text):
+    def test_solve_matches_reference(self, tmp_path, monkeypatch, fmt, text):
+        emitted = capture_tables(monkeypatch)
         path = write_config(tmp_path, text)
         out = str(tmp_path / "out")
         assert main([path, "--format", fmt, "--out", out]) == 0
@@ -361,25 +413,24 @@ class TestWriterBytes:
         columns = ["record", "j", "i", "theta", "r", "value", "weight"]
         want = reference_payload(reference_solve_rows(cfg), columns, fmt)
         assert open(out, newline="").read() == want
+        # The grid's float columns reach the writer as arrays, not row tuples.
+        (table,) = emitted
+        assert list(table) == columns
+        assert all(isinstance(table[c], np.ndarray) for c in ("theta", "r", "value"))
+        assert table_rows(table) == reference_solve_rows(cfg)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("text", [RADIAL, VERIFY_FLOWER, RIGIDITY],
                              ids=["radial", "verify", "rigidity"])
     def test_commands_match_reference(self, tmp_path, monkeypatch, fmt, text):
-        emitted = []
-        emit = cli._emit
-
-        def capture(rows, columns, cfg):
-            emitted.append((list(rows), list(columns)))
-            emit(rows, columns, cfg)
-
-        monkeypatch.setattr(cli, "_emit", capture)
+        emitted = capture_tables(monkeypatch)
         path = write_config(tmp_path, text)
         out = str(tmp_path / "out")
         assert main([path, "--format", fmt, "--out", out]) in (0, 1)
-        (rows, columns), = emitted
-        assert all(isinstance(row, tuple) and len(row) == len(columns) for row in rows)
-        want = reference_payload([dict(zip(columns, row)) for row in rows], columns, fmt)
+        (table,) = emitted
+        assert all(map(is_column, table.values()))
+        assert len({len(column) for column in table.values()}) == 1
+        want = reference_payload(table_rows(table), list(table), fmt)
         assert open(out, newline="").read() == want
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -392,12 +443,86 @@ class TestWriterBytes:
                 (3, None, "fail", 0.1),
                 (True, np.float64(1.0 / 3.0), np.float64(-0.0), 5e-324),
                 (4, 1.7976931348623157e308, -1e-300, math.pi)]
-        out = str(tmp_path / "out")
-        cli._emit(rows, columns, RunConfig(format=fmt, out=out))
+        table = {c: list(cells) for c, cells in zip(columns, zip(*rows))}
         want = reference_payload([dict(zip(columns, row)) for row in rows], columns, fmt)
-        assert open(out, newline="").read() == want
+        assert emitted_payload(tmp_path, table, fmt) == want
         cells = [v for row in rows for v in row] + [np.int64(4), np.int64(-2)]
-        assert [_format_cell(v) for v in cells] == [reference_cell(v) for v in cells]
+        assert [csv_cells([v])[0] for v in cells] == [reference_cell(v) for v in cells]
+        assert csv_cells(cells) == [reference_cell(v) for v in cells]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_array_columns_match_reference(self, tmp_path, fmt):
+        heavy = np.repeat([0.25, -1.5, math.pi], [700, 1, 299])
+        specials = SIGNED_ZEROS + SPECIAL_FLOATS
+        table = {"zeros": np.array(SIGNED_ZEROS * 250),
+                 "specials": np.resize(np.array(specials), 1000),
+                 "heavy": heavy,
+                 "strided": np.arange(2000.0)[::2] / 7}
+        want = reference_payload(table_rows(table), list(table), fmt)
+        assert emitted_payload(tmp_path, table, fmt) == want
+        assert csv_cells(np.array(SIGNED_ZEROS)) == ["0", "-0", "-0", "0"]
+        assert csv_cells(np.array(specials)) == [reference_cell(v) for v in specials]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_list_columns_match_reference(self, tmp_path, fmt):
+        # Cells that compare or hash equal but print differently, in one column.
+        mixed = [10 ** 17, 1e17, 10 ** 17, 1, True, 1.0, 1, 0.0, -0.0, 0, False,
+                 None, None, "x,y", "x,y", None, -0.0, -0.0, 0.0, 1e17, 10 ** 17]
+        table = {"mixed": mixed,
+                 "runs": [None] * 8 + [3] * 5 + [None] * 3 + ["a"] * 5,
+                 "floats": list(np.resize(SIGNED_ZEROS + SPECIAL_FLOATS, 21)),
+                 "array": np.resize(np.array(SIGNED_ZEROS), 21)}
+        want = reference_payload(table_rows(table), list(table), fmt)
+        assert emitted_payload(tmp_path, table, fmt) == want
+        assert csv_cells([-0.0, 0.0]) == ["-0", "0"]
+        assert csv_cells([10 ** 17, 1e17]) == ["100000000000000000", "1e+17"]
+        assert csv_cells([1, True, 1.0, False, 0]) == ["1", "1", "1", "0", "0"]
+
+    def test_numpy_scalar_cells(self):
+        # Not JSON-serializable, so CSV only.
+        cells = [np.float32(0.1), np.float32(0.1), np.int64(-2), np.int64(-2),
+                 np.float64(-0.0), np.float64(0.0), np.int64(4), np.float32(-0.0)]
+        assert csv_cells(cells) == [reference_cell(v) for v in cells]
+        assert csv_cells(cells)[:3] == ["0.10000000149011612", "0.10000000149011612", "-2"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_table_is_header_only(self, tmp_path, fmt):
+        table = {"a": [], "b": np.empty(0), "c": []}
+        want = reference_payload([], list(table), fmt)
+        assert emitted_payload(tmp_path, table, fmt) == want
+        assert want == ("a,b,c\n" if fmt == "csv" else "[]\n")
+
+
+# Small pools, so that drawn columns repeat values, and signed zeros, NaNs,
+# 1 / True / 1.0 and 10**17 / 1e17 meet in one column.
+FLOAT_POOL = SIGNED_ZEROS[:2] + SPECIAL_FLOATS + [math.pi, -2.5]
+CELL_POOL = (FLOAT_POOL + [np.float64(-0.0), np.float64(0.1)]
+             + [0, 1, -7, 10 ** 17, 2 ** 70, True, False, None, "", "x,y", "pass"])
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.integers(0, 12))
+    width = draw(st.integers(1, 4))
+    table = {}
+    for k in range(width):
+        if draw(st.booleans()):
+            pool = st.sampled_from(FLOAT_POOL)
+            table[f"c{k}"] = np.array(draw(st.lists(pool, min_size=rows, max_size=rows)),
+                                      dtype=np.float64)
+        else:
+            pool = st.sampled_from(CELL_POOL)
+            table[f"c{k}"] = draw(st.lists(pool, min_size=rows, max_size=rows))
+    return table
+
+
+class TestWriterProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(table=tables(), fmt=st.sampled_from(["csv", "json"]))
+    def test_any_table_matches_reference(self, tmp_path_factory, table, fmt):
+        out = tmp_path_factory.mktemp("emit")
+        want = reference_payload(table_rows(table), list(table), fmt)
+        assert emitted_payload(out, table, fmt) == want
 
 
 class TestMainArgv:

@@ -391,6 +391,19 @@ class TestDiskFactor:
             want = discretization.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), profile.kind
 
+    @pytest.mark.parametrize("ns,nt", [(16, 32), (64, 128)])
+    @pytest.mark.parametrize("domain", [
+        StarDomain.ball(1.0),                       # disk factorization
+        StarDomain(1.0, (0.05,), (0.0, 0.1)),      # SuperLU
+    ], ids=["disk", "splu"])
+    def test_multi_column_back_solve_is_column_by_column(self, domain, ns, nt):
+        field = solve_torsion(SPHERE, domain, ns, nt)
+        rhs = np.random.default_rng(7).standard_normal((field.grid.size, 5))
+        got = field.back_solve(rhs)
+        assert got.shape == rhs.shape
+        want = np.stack([field.back_solve(column) for column in rhs.T], axis=1)
+        assert np.array_equal(got, want)
+
     def test_selected_for_disks_only(self, monkeypatch):
         calls = {"disk": 0, "splu": 0}
         exact_disk = discretization._DiskFactor

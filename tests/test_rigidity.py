@@ -328,6 +328,20 @@ class TestShapeJacobian:
             central[:, column] = (up - down) / (2.0 * step)
         assert np.max(np.abs(jac - central)) < 2e-9 * np.max(np.abs(jac))
 
+    @pytest.mark.parametrize("coefficients", [((0.05, -0.06), (0.03, 0.04)),
+                                              ((0.0, 0.0), (0.0, 0.0))],
+                             ids=["star", "disk"])
+    @pytest.mark.parametrize("geometry", PROFILES)
+    def test_kept_columns_are_the_full_columns(self, geometry, coefficients):
+        # The descent asks only for (a_1, a_2, b_2); the r0 and b_1 columns
+        # are never formed, and the kept ones do not move by a bit.
+        obj = neumann_deviation(StarDomain(BALL_RADIUS[geometry], *coefficients),
+                                PROFILES[geometry], 16, 32)
+        columns = np.r_[1:3, 4:5]
+        kept = obj.jacobian(columns)
+        assert kept.shape == (32, 3)
+        assert np.array_equal(kept, obj.jacobian()[:, columns])
+
     def test_ball_sigma_closed_form(self):
         assert ball_sigma(EUCLID, 2.0, 1) == 0.0
         assert ball_sigma(EUCLID, 2.0, 3) == -1.0
