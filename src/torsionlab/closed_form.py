@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geometry import (
     QuadratureError,
@@ -35,6 +34,7 @@ from .geometry import (
     divergence_radial,
     laplacian_radial,
     newton_gap,
+    quad,
     radial_hessian,
     ricci_quadratic,
     sphere_area,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "PROFILE_KINDS",
@@ -42,6 +41,17 @@ PROFILE_KINDS = ("euclidean", "spherical", "hyperbolic", "custom")
 
 # Absolute tolerance for the quadrature that builds H on custom profiles.
 _PRIMITIVE_ABS_TOL = 1e-12
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call.
+
+    Importing scipy.integrate (and scipy.special with it) is about a third
+    of a fresh process's start-up, and no command but ``radial`` (or a
+    custom profile) integrates.
+    """
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 @dataclass(frozen=True)

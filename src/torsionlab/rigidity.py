@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .discretization import (
     SOLVER_TOL,
@@ -271,6 +270,9 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
         obj = last[1] if np.array_equal(x, last[0]) else evaluate(x)
         return obj.jacobian(columns)
 
+    # Imported here: scipy.optimize loads scipy.special, a third of the
+    # start-up of every command, and only this descent uses it.
+    from scipy.optimize import least_squares
     try:
         result = least_squares(residuals, _pack(initial, modes), jac=jacobian,
                                method="trf", max_nfev=budget)

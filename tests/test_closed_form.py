@@ -19,10 +19,14 @@ import pytest
 from torsionlab import (
     RadialSolution,
     bochner_residual,
+    closed_form,
     compute_catalog,
+    custom_profile,
+    geometry,
     make_profile,
     newton_equality_check,
     pohozaev_pointwise_residual,
+    radial_functionals,
     radial_torsion_solution,
 )
 
@@ -221,3 +225,42 @@ class TestRadialCatalog:
         cat = compute_catalog(sol)
         want = 4 * math.pi * math.sin(0.6) ** 2
         assert cat.bdry_measure == pytest.approx(want, rel=1e-12)
+
+
+class TestDeferredQuadrature:
+    """``closed_form.quad`` is the name perfbench's tracer wraps.
+
+    ``scipy.integrate`` is imported on the first call, so the module
+    attribute must stay a function that ``_ball_integral`` looks up at call
+    time.
+    """
+
+    def test_catalog_calls_the_module_quad(self, monkeypatch):
+        sol = radial_torsion_solution(SPHERE, 3, 0.7)
+        want = radial_functionals(sol)
+        calls = []
+        inner = closed_form.quad
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(closed_form, "quad", counting)
+        assert radial_functionals(sol) == want
+        assert len(calls) == 9
+        assert set(calls) == {(0.0, 0.7)}
+
+    def test_custom_primitive_through_the_deferred_quad(self, monkeypatch):
+        calls = []
+        inner = geometry.quad
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "quad", counting)
+        profile = custom_profile(np.sin, np.cos, lambda r: -np.sin(r), math.pi / 2)
+        r = np.array([0.0, 0.3, 1.0, 1.5])
+        assert profile.H(r) == pytest.approx(1.0 - np.cos(r), abs=1e-12)
+        assert profile.H(0.8) == pytest.approx(1.0 - math.cos(0.8), abs=1e-12)
+        assert calls == [0.0, 0.3, 1.0, 1.5, 0.8]
