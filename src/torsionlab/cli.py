@@ -239,8 +239,18 @@ def _cell_spec(kind: type) -> str:
     return "%.17g"
 
 
-def _column_cells(column, end: str) -> list:
-    """CSV cells of one column, each followed by ``end``.
+_encode = json.JSONEncoder(allow_nan=True).encode
+
+
+def _json_text(value) -> str:
+    """``value`` as ``json`` writes it; a finite float is its ``repr``, as in
+    ``json``'s own float writer, without the encoder's set-up per call."""
+    finite_float = isinstance(value, float) and math.isfinite(value)
+    return float.__repr__(value) if finite_float else _encode(value)
+
+
+def _column_cells(column, cell) -> list:
+    """Cells of one column; ``cell(kind)`` formats a value of type ``kind``.
 
     Each distinct value is formatted once.  A float64 array is formatted
     once per distinct bit pattern, so 0.0 and -0.0 stay apart.  A list is
@@ -250,18 +260,18 @@ def _column_cells(column, end: str) -> list:
     """
     if isinstance(column, np.ndarray):
         bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-        text = list(map(("%.17g" + end).__mod__, bits.view(np.float64).tolist()))
+        text = list(map(cell(float), bits.view(np.float64).tolist()))
         return np.array(text, dtype=object)[inverse].tolist()
     cells = []
     stop = 0
     for kind, run in groupby(map(type, column)):
         start, stop = stop, stop + len(list(run))
         values = column[start:stop]
-        spec = _cell_spec(kind)
-        if spec == "%.17g":
-            cells += map((spec + end).__mod__, values)
+        format_ = cell(kind)
+        if _cell_spec(kind) == "%.17g":
+            cells += map(format_, values)
         else:
-            text = {value: (spec + end) % (value,) for value in set(values)}
+            text = {value: format_(value) for value in set(values)}
             cells += map(text.__getitem__, values)
     return cells
 
@@ -270,19 +280,24 @@ def _emit(table: dict, cfg: RunConfig) -> None:
     """Write a table, column name -> column, as CSV or JSON.
 
     Every column has one cell per row; a column is a list of cells or a 1-d
-    float64 array.  CSV lines are put together column by column.
+    float64 array.  Both formats are put together column by column; JSON
+    has the layout of ``json.dumps(rows, indent=2)``.
     """
-    if cfg.format == "csv":
-        width = len(table)
-        cells = [None] * (len(next(iter(table.values()))) * width)
-        for k, column in enumerate(table.values()):
-            cells[k::width] = _column_cells(column, "," if k < width - 1 else "\n")
-        payload = ",".join(table) + "\n" + "".join(cells)
+    width = len(table)
+    cells = [None] * (len(next(iter(table.values()))) * width)
+    for k, (name, column) in enumerate(table.items()):
+        if cfg.format == "csv":
+            end = "," if k < width - 1 else "\n"
+            cell = lambda kind: (_cell_spec(kind) + end).__mod__
+        else:
+            head = ("  {\n" if k == 0 else "") + f"    {_encode(name)}: "
+            end = ",\n" if k < width - 1 else "\n  },\n"
+            cell = lambda kind: lambda value: head + _json_text(value) + end
+        cells[k::width] = _column_cells(column, cell)
+    if cfg.format == "json":
+        payload = "[\n" + "".join(cells)[:-2] + "\n]\n" if cells else "[]\n"
     else:
-        columns = [c.tolist() if isinstance(c, np.ndarray) else c
-                   for c in table.values()]
-        payload = json.dumps([dict(zip(table, row)) for row in zip(*columns)],
-                             indent=2, allow_nan=True) + "\n"
+        payload = ",".join(table) + "\n" + "".join(cells)
     if cfg.out is None:
         sys.stdout.write(payload)
     else:

@@ -286,7 +286,8 @@ class DiscreteField:
 
 
 class SolverConvergenceError(RuntimeError):
-    """The verified back-solve left a scaled residual above the requested tol."""
+    """The factor was singular, or the verified back-solve left a scaled
+    residual above the requested tol."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -463,8 +464,9 @@ def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
     residual's rounding floor, which fixed-precision iterative refinement
     cannot go below (Higham, Accuracy and Stability of Numerical Algorithms,
     2002, ch. 12).  A residual above tol raises ``SolverConvergenceError``
-    carrying the residual reached.  The field keeps the factor and the row
-    scale for ``DiscreteField.back_solve``.
+    carrying the residual reached, and a singular factor raises it with an
+    infinite residual.  The field keeps the factor and the row scale for
+    ``DiscreteField.back_solve``.
     """
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -476,10 +478,13 @@ def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
         return DiscreteField(values=np.zeros((system.grid.ns, system.grid.ntheta)),
                              grid=system.grid)
 
-    if _is_disk(system.grid):
-        lu = _DiskFactor(A, system.grid.ntheta)
-    else:
-        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    try:
+        if _is_disk(system.grid):
+            lu = _DiskFactor(A, system.grid.ntheta)
+        else:
+            lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SolverConvergenceError(str(exc), residual=math.inf) from None
     x = lu.solve(b)
     res = float(np.linalg.norm(b - A @ x)) / b_norm
     if res > tol:

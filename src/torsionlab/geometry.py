@@ -42,6 +42,10 @@ PROFILE_KINDS = ("euclidean", "spherical", "hyperbolic", "custom")
 # Absolute tolerance for the quadrature that builds H on custom profiles.
 _PRIMITIVE_ABS_TOL = 1e-12
 
+# A Hessian spectrum whose spread is below this is the equality case of
+# ``newton_gap``.
+_EQUAL_SPREAD = 1e-14
+
 
 def quad(*args, **kwargs):
     """``scipy.integrate.quad``, imported on the first call.
@@ -254,20 +258,20 @@ def newton_gap(n: int, eigenvalues) -> float:
     n * sum(lam_i^2) - (sum lam_i)^2 >= 0 with equality iff all eigenvalues
     agree.  Computed as the algebraically identical sum of squared pairwise
     differences, which cannot go negative through cancellation.  Spectra
-    whose spread is below 1e-14 are the equality case and map to an exact
-    zero.
+    whose spread is below ``_EQUAL_SPREAD`` are the equality case and map to
+    an exact zero.
     """
     _require_dimension(n)
     if (isinstance(eigenvalues, list) and len(eigenvalues) == n
             and all(isinstance(v, float) and math.isfinite(v) for v in eigenvalues)
-            and max(eigenvalues) - min(eigenvalues) < 1e-14):
+            and max(eigenvalues) - min(eigenvalues) < _EQUAL_SPREAD):
         return 0.0
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.shape != (n,):
         raise ValueError(f"expected {n} eigenvalues, got shape {lam.shape}")
     if not np.all(np.isfinite(lam)):
         raise ValueError("eigenvalues must be finite")
-    if float(lam.max() - lam.min()) < 1e-14:
+    if float(lam.max() - lam.min()) < _EQUAL_SPREAD:
         return 0.0
     diffs = np.subtract.outer(lam, lam)
     return float(np.sum(np.triu(diffs, k=1) ** 2))

@@ -45,6 +45,8 @@ SOLVE_FLOWER = ("command=solve\ngeometry=spherical\nR0=0.7\na2=0.1\nb1=0.05\n"
 RIGIDITY = ("command=rigidity\ngeometry=spherical\nR0=0.7853981633974483\n"
             "a2=0.1\nmodes=3\nbudget=60\nNs=16\nNtheta=32")
 RADIAL = "command=radial\ngeometry=hyperbolic\nR0=2.0\nn=3\nNs=16"
+SWEEP = ("command=sweep\ngeometry=spherical\nR0=0.7\nfamily=offset\n"
+         "family_values=-0.0,0,0.1\nNs=8\nNtheta=16")
 
 
 class TestParseConfig:
@@ -241,21 +243,39 @@ class TestOtherCommands:
         assert all(js[k + 1] <= js[k] for k in range(len(js) - 1))
 
     def test_solver_nonconvergence_exit_code(self, tmp_path, capsys):
-        cfg = ("command=solve\ngeometry=euclidean\nR0=1.0\nNs=8\nNtheta=16\n"
-               "tol=1e-30")
-        rc = main([write_config(tmp_path, cfg)])
-        captured = capsys.readouterr()
-        assert rc == 3
-        assert "converge" in captured.err
+        grid = "\nNs=8\nNtheta=16"
+        for cfg in ["command=solve\ngeometry=euclidean\nR0=1.0\ntol=1e-30",
+                    # A singular factorization, on disks and on a star domain.
+                    "command=solve\ngeometry=spherical\nR0=1e-300",
+                    "command=verify\ngeometry=hyperbolic\nR0=1e-300",
+                    "command=verify\ngeometry=euclidean\nR0=1e-300\na2=0.1"]:
+            rc = main([write_config(tmp_path, cfg + grid)])
+            captured = capsys.readouterr()
+            assert rc == 3, cfg
+            assert captured.out == ""
+            assert captured.err.startswith("solver did not converge: ")
+            assert captured.err.count("\n") == 1
+
+    def test_sweep_continues_past_singular_factor(self, capsys):
+        rc = main(["--command", "sweep", "--family", "ball", "--family_values",
+                   "1e-300,0.5", "--Ns", "8", "--Ntheta", "16"])
+        lines = capsys.readouterr().out.split("\n")
+        assert rc == 0
+        assert lines[1].startswith("1e-300,nan,nan,nan,failed: ")
+        assert "singular" in lines[1]
+        assert lines[2].startswith("0.5,") and lines[2].endswith(",ok")
+        assert lines[3:] == [""]
 
     def test_descent_with_no_solvable_shape_exit_code(self, capsys):
-        rc = main(["--command", "rigidity", "--tol", "1e-30", "--Ns", "8",
-                   "--Ntheta", "16", "--budget", "50"])
-        captured = capsys.readouterr()
-        assert rc == 3
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert "no feasible shape" in captured.err
+        for args in (["--tol", "1e-30"],
+                     ["--R0", "1e-300", "--a2", "0.1"]):    # singular factorization
+            rc = main(["--command", "rigidity", "--Ns", "8", "--Ntheta", "16",
+                       "--budget", "50", *args])
+            captured = capsys.readouterr()
+            assert rc == 3, args
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert "no feasible shape" in captured.err
 
 
 def csv_cells(column):
@@ -420,8 +440,8 @@ class TestWriterBytes:
         assert table_rows(table) == reference_solve_rows(cfg)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("text", [RADIAL, VERIFY_FLOWER, RIGIDITY],
-                             ids=["radial", "verify", "rigidity"])
+    @pytest.mark.parametrize("text", [RADIAL, VERIFY_FLOWER, RIGIDITY, SWEEP],
+                             ids=["radial", "verify", "rigidity", "sweep"])
     def test_commands_match_reference(self, tmp_path, monkeypatch, fmt, text):
         emitted = capture_tables(monkeypatch)
         path = write_config(tmp_path, text)

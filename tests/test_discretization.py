@@ -331,6 +331,18 @@ class TestSolve:
         assert info.value.residual > 1e-10
         assert len(solves) == 1
 
+    @pytest.mark.parametrize("domain", [
+        StarDomain.ball(1e-300),                    # disk factorization
+        StarDomain(1e-300, (0.0, 0.1)),             # SuperLU
+    ], ids=["disk", "splu"])
+    def test_singular_factor_raises_nonconvergence(self, domain):
+        # At R0 = 1e-300 the metric factors over- and underflow, and the
+        # factorization finds the matrix singular.
+        with pytest.raises(SolverConvergenceError) as info:
+            solve_torsion(EUCLID, domain, 8, 16)
+        assert info.value.residual == math.inf
+        assert "singular" in str(info.value)
+
     def test_tolerance_validation(self):
         ball = StarDomain.ball(1.0)
         system = assemble(build_grid(EUCLID, ball, 8, 16))
