@@ -242,21 +242,14 @@ def _cell_spec(kind: type) -> str:
 _encode = json.JSONEncoder(allow_nan=True).encode
 
 
-def _json_text(value) -> str:
-    """``value`` as ``json`` writes it; a finite float is its ``repr``, as in
-    ``json``'s own float writer, without the encoder's set-up per call."""
-    finite_float = isinstance(value, float) and math.isfinite(value)
-    return float.__repr__(value) if finite_float else _encode(value)
-
-
 def _column_cells(column, cell) -> list:
     """Cells of one column; ``cell(kind)`` formats a value of type ``kind``.
 
     Each distinct value is formatted once.  A float64 array is formatted
     once per distinct bit pattern, so 0.0 and -0.0 stay apart.  A list is
-    split into runs of one cell type: a run with the float spec is
-    formatted cell by cell, any other run (ints, strings, None) once per
-    distinct value, so no memo mixes types or specs.
+    split into runs of one cell type: a run of ints, strings or None is
+    formatted once per distinct value, any other run (floats, numpy scalars)
+    cell by cell, since -0.0 == 0.0 and NaN != NaN would defeat a memo.
     """
     if isinstance(column, np.ndarray):
         bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
@@ -268,11 +261,11 @@ def _column_cells(column, cell) -> list:
         start, stop = stop, stop + len(list(run))
         values = column[start:stop]
         format_ = cell(kind)
-        if _cell_spec(kind) == "%.17g":
-            cells += map(format_, values)
-        else:
+        if kind is type(None) or issubclass(kind, (int, str)):
             text = {value: format_(value) for value in set(values)}
             cells += map(text.__getitem__, values)
+        else:
+            cells += map(format_, values)
     return cells
 
 
@@ -292,7 +285,7 @@ def _emit(table: dict, cfg: RunConfig) -> None:
         else:
             head = ("  {\n" if k == 0 else "") + f"    {_encode(name)}: "
             end = ",\n" if k < width - 1 else "\n  },\n"
-            cell = lambda kind: lambda value: head + _json_text(value) + end
+            cell = lambda kind: lambda value: head + _encode(value) + end
         cells[k::width] = _column_cells(column, cell)
     if cfg.format == "json":
         payload = "[\n" + "".join(cells)[:-2] + "\n]\n" if cells else "[]\n"

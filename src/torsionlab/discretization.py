@@ -464,9 +464,9 @@ def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
     residual's rounding floor, which fixed-precision iterative refinement
     cannot go below (Higham, Accuracy and Stability of Numerical Algorithms,
     2002, ch. 12).  A residual above tol raises ``SolverConvergenceError``
-    carrying the residual reached, and a singular factor raises it with an
-    infinite residual.  The field keeps the factor and the row scale for
-    ``DiscreteField.back_solve``.
+    carrying the residual reached (a NaN residual counts as above), and a
+    singular factor raises it with an infinite residual.  The field keeps
+    the factor and the row scale for ``DiscreteField.back_solve``.
     """
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -487,7 +487,7 @@ def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
         raise SolverConvergenceError(str(exc), residual=math.inf) from None
     x = lu.solve(b)
     res = float(np.linalg.norm(b - A @ x)) / b_norm
-    if res > tol:
+    if not res <= tol:
         raise SolverConvergenceError(
             f"LU solve reached relative residual {res:.3e} "
             f"(requested {tol:.1e})",

@@ -243,18 +243,23 @@ class TestOtherCommands:
         assert all(js[k + 1] <= js[k] for k in range(len(js) - 1))
 
     def test_solver_nonconvergence_exit_code(self, tmp_path, capsys):
-        grid = "\nNs=8\nNtheta=16"
+        # The tol case writes one stderr line.  The singular cases (disks
+        # and a star domain, at two grid sizes) may write numpy's overflow
+        # warnings first, so only their last line is checked.
         for cfg in ["command=solve\ngeometry=euclidean\nR0=1.0\ntol=1e-30",
-                    # A singular factorization, on disks and on a star domain.
                     "command=solve\ngeometry=spherical\nR0=1e-300",
                     "command=verify\ngeometry=hyperbolic\nR0=1e-300",
                     "command=verify\ngeometry=euclidean\nR0=1e-300\na2=0.1"]:
-            rc = main([write_config(tmp_path, cfg + grid)])
-            captured = capsys.readouterr()
-            assert rc == 3, cfg
-            assert captured.out == ""
-            assert captured.err.startswith("solver did not converge: ")
-            assert captured.err.count("\n") == 1
+            for grid in ("\nNs=8\nNtheta=16", "\nNs=16\nNtheta=32"):
+                rc = main([write_config(tmp_path, cfg + grid)])
+                captured = capsys.readouterr()
+                assert rc == 3, cfg + grid
+                assert captured.out == ""
+                last = captured.err.splitlines()[-1]
+                assert last.startswith("solver did not converge: ")
+                assert "Traceback" not in captured.err
+                if "tol" in cfg:
+                    assert captured.err.count("\n") == 1
 
     def test_sweep_continues_past_singular_factor(self, capsys):
         rc = main(["--command", "sweep", "--family", "ball", "--family_values",
@@ -274,8 +279,10 @@ class TestOtherCommands:
             captured = capsys.readouterr()
             assert rc == 3, args
             assert captured.out == ""
-            assert captured.err.count("\n") == 1
-            assert "no feasible shape" in captured.err
+            assert "no feasible shape" in captured.err.splitlines()[-1]
+            assert "Traceback" not in captured.err
+            if args[0] == "--tol":      # the singular case may warn first
+                assert captured.err.count("\n") == 1
 
 
 def csv_cells(column):

@@ -331,17 +331,44 @@ class TestSolve:
         assert info.value.residual > 1e-10
         assert len(solves) == 1
 
+    @pytest.mark.parametrize("grid", [(8, 16), (16, 32)], ids=["8x16", "16x32"])
     @pytest.mark.parametrize("domain", [
         StarDomain.ball(1e-300),                    # disk factorization
         StarDomain(1e-300, (0.0, 0.1)),             # SuperLU
     ], ids=["disk", "splu"])
-    def test_singular_factor_raises_nonconvergence(self, domain):
+    def test_singular_factor_raises_nonconvergence(self, domain, grid):
         # At R0 = 1e-300 the metric factors over- and underflow, and the
         # factorization finds the matrix singular.
         with pytest.raises(SolverConvergenceError) as info:
-            solve_torsion(EUCLID, domain, 8, 16)
+            solve_torsion(EUCLID, domain, *grid)
         assert info.value.residual == math.inf
         assert "singular" in str(info.value)
+
+    @pytest.mark.parametrize("domain", [
+        StarDomain.ball(1.0),                       # disk factorization
+        StarDomain(1.0, (0.05,), (0.0, 0.1)),      # SuperLU
+    ], ids=["disk", "splu"])
+    def test_nan_back_solve_raises_nonconvergence(self, monkeypatch, domain):
+        # A factor that completes but back-solves to NaN leaves a NaN
+        # residual, which must not pass the residual check.
+        exact_disk = discretization._DiskFactor
+        exact_splu = discretization.splu
+
+        class NaNSolve:
+            def __init__(self, factor):
+                self._factor = factor
+
+            def solve(self, rhs):
+                return np.full_like(self._factor.solve(rhs), np.nan)
+
+        monkeypatch.setattr(discretization, "_DiskFactor",
+                            lambda A, nt: NaNSolve(exact_disk(A, nt)))
+        monkeypatch.setattr(discretization, "splu",
+                            lambda A, **kw: NaNSolve(exact_splu(A, **kw)))
+        system = assemble(build_grid(EUCLID, domain, 8, 16))
+        with pytest.raises(SolverConvergenceError) as info:
+            solve(system)
+        assert math.isnan(info.value.residual)
 
     def test_tolerance_validation(self):
         ball = StarDomain.ball(1.0)
