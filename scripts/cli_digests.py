@@ -4,8 +4,9 @@
 Prints one line ``<run> <exit code> <sha256[:16]>`` per run, the digest
 being of the run's stdout.  The runs are solve, verify, radial (at n = 2,
 3 and 5) and sweep in every geometry, three rigidity descents, a sweep
-whose offsets include -0.0 and 0, and the run configs in this directory,
-each in both output formats.  The last lines,
+whose offsets include -0.0 and 0, a euclidean radial at R0 = 5, n = 5 and
+verify at R0 = 40, and the run configs in this directory, each in both
+output formats.  The last lines,
 ``pointwise/<geometry>/n<k> 0 <sha256[:16]>``, digest the ``repr``s of the
 three pointwise residuals at 50 midpoint radii of R0 = 0.7 instead, for
 n = 2, 3 and 5; they run no CLI, so their code is always 0.
@@ -73,6 +74,14 @@ def runs():
                    "--family_values", "-0.0,0,0.1"]
     for fmt in ("csv", "json"):
         yield f"sweep-signed-zero/{fmt}", [*signed_zero, "--format", fmt]
+    # Large euclidean balls, whose integrals reach 1e6: the catalog and the
+    # inequality verdicts must not depend on the scale of the problem.
+    large = {"radial-R5-n5": ["--command", "radial", "--R0", "5", "--n", "5"],
+             "verify-R40": ["--command", "verify", "--R0", "40", *GRID]}
+    for name, args in large.items():
+        for fmt in ("csv", "json"):
+            yield (f"euclidean/{name}/{fmt}",
+                   ["--geometry", "euclidean", *args, "--format", fmt])
     for path in sorted(SCRIPTS.glob("*.cfg")):
         for fmt in ("csv", "json"):
             yield f"{path.name}/{fmt}", [str(path), "--format", fmt]

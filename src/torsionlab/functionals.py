@@ -61,8 +61,9 @@ class IdentityRecord:
     """One row of the identity report.
 
     For equality rows the residual columns hold |lhs - rhs| and its relative
-    version.  For inequality rows they hold the signed slack (negative means
-    violated), so the full gap survives into the report.
+    version.  For inequality rows ``abs_residual`` holds the signed slack
+    (negative means violated), so the full gap survives into the report, and
+    ``rel_residual`` the violation relative to the row's scale.
     """
 
     label: str
@@ -188,7 +189,9 @@ def identity_report(catalog: FunctionalCatalog, tolerance: float) -> IdentityRep
     """Build the ten-row identity table from a functional catalog.
 
     Equality rows pass when the relative residual is within ``tolerance``;
-    inequality rows pass when the signed slack is above ``-tolerance``.
+    inequality rows pass when their relative violation is: the energy
+    defect's against int mu h^2, the Bochner bound's against the larger of
+    its sides.  So no verdict depends on the units of the problem.
     Constant-Neumann rows are marked not applicable when the Neumann trace
     is visibly non-constant, since their hypothesis then fails.
     """
@@ -209,16 +212,16 @@ def identity_report(catalog: FunctionalCatalog, tolerance: float) -> IdentityRep
             verdict = "pass" if rel_res <= tolerance else "fail"
         records.append(IdentityRecord(label, hyp, lhs, rhs, abs_res, rel_res, verdict))
 
-    def lower_bound(label, hyp, lhs, rhs):
+    def lower_bound(label, hyp, lhs, rhs, scale):
         # Requires lhs >= rhs.  The signed slack goes in the absolute column;
         # the relative column holds the violation (zero while satisfied),
-        # i.e. the distance to the feasible side.
+        # i.e. the distance to the feasible side, over ``scale``.
         slack = lhs - rhs
-        rel = max(0.0, -slack) / max(abs(lhs), abs(rhs), _DENOM_FLOOR)
+        rel = max(0.0, -slack) / max(abs(scale), _DENOM_FLOOR)
         if hyp == CONSTANT_NEUMANN and not neumann_ok:
             verdict = "not_applicable"
         else:
-            verdict = "pass" if slack >= -tolerance else "fail"
+            verdict = "pass" if rel <= tolerance else "fail"
         records.append(IdentityRecord(label, hyp, lhs, rhs, slack, rel, verdict))
 
     c = catalog.c_mean
@@ -230,7 +233,8 @@ def identity_report(catalog: FunctionalCatalog, tolerance: float) -> IdentityRep
              catalog.int_hdot_gradsq,
              n * catalog.int_u_hdot2 + catalog.int_u_ur_hddot)
     # energy_defect <= 0: report as 0 >= defect.
-    lower_bound("energy_defect_sign", DIRICHLET_ONLY, 0.0, catalog.energy_defect)
+    lower_bound("energy_defect_sign", DIRICHLET_ONLY, 0.0, catalog.energy_defect,
+                catalog.int_u_h2)
     equality("perimeter_balance", CONSTANT_NEUMANN,
              catalog.bdry_measure, n / c * catalog.int_hdot if c != 0 else float("inf"))
     equality("neumann_square", CONSTANT_NEUMANN,
@@ -244,7 +248,8 @@ def identity_report(catalog: FunctionalCatalog, tolerance: float) -> IdentityRep
              0.5 * (n - 2) * (n * catalog.int_u_hdot2 + catalog.int_u_ur_hddot)
              - n * catalog.int_ur_h_hdot)
     lower_bound("bw_lower_bound", CONSTANT_NEUMANN,
-                catalog.bw_lhs, catalog.bw_rhs_curvature)
+                catalog.bw_lhs, catalog.bw_rhs_curvature,
+                max(abs(catalog.bw_lhs), abs(catalog.bw_rhs_curvature)))
 
     return IdentityReport(records=tuple(records), tolerance=float(tolerance),
                           neumann_cv=cv)

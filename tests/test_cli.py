@@ -182,6 +182,19 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert rc == 1
 
+    def test_large_ball_inequality_rows_are_scale_free(self, capsys):
+        # A 32x64 euclidean ball of radius 40: the Bochner bound is violated
+        # by 3927 on sides of 4.0e6, a relative 9.8e-4 within report_tol.
+        rc = main(["--command", "verify", "--geometry", "euclidean", "--R0", "40",
+                   "--Ns", "32", "--Ntheta", "64"])
+        rows = {line.split(",")[0]: line.split(",")
+                for line in capsys.readouterr().out.strip().split("\n")[1:]}
+        assert rc == 0
+        bound = rows["bw_lower_bound"]
+        assert float(bound[4]) < -1.0
+        assert 0.0 < float(bound[5]) < 1e-3
+        assert bound[6] == "pass"
+
 
 class TestOtherCommands:
     def test_radial_rows(self, tmp_path, capsys):
@@ -197,6 +210,19 @@ class TestOtherCommands:
         assert len(catalog) == 23
         first = samples[0].split(",")
         assert float(first[2]) == pytest.approx(0.7853981633974483 * 0.5 / 16)
+
+    def test_radial_large_euclidean_ball(self, capsys):
+        # Its integrands reach 1e6; the catalog still closes the Pohozaev
+        # balance to rounding.
+        rc = main(["--command", "radial", "--geometry", "euclidean", "--R0", "5",
+                   "--n", "5"])
+        catalog = {row[1]: float(row[3])
+                   for row in (line.split(",")
+                               for line in capsys.readouterr().out.split("\n"))
+                   if row[0] == "catalog"}
+        assert rc == 0
+        flux, bulk = catalog["pohozaev_flux"], catalog["pohozaev_bulk"]
+        assert abs(flux - bulk) <= 1e-14 * abs(flux)
 
     def test_solve_rows(self, tmp_path, capsys):
         cfg = "command=solve\ngeometry=euclidean\nR0=1.0\nNs=8\nNtheta=16"

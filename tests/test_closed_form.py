@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 from torsionlab import (
+    QuadratureError,
     RadialSolution,
     bochner_residual,
     closed_form,
     compute_catalog,
     custom_profile,
-    geometry,
     make_profile,
     newton_equality_check,
     pohozaev_pointwise_residual,
@@ -227,12 +227,11 @@ class TestRadialCatalog:
         assert cat.bdry_measure == pytest.approx(want, rel=1e-12)
 
 
-class TestDeferredQuadrature:
-    """``closed_form.quad`` is the name perfbench's tracer wraps.
+class TestCatalogQuadrature:
+    """One fixed Gauss-Legendre pass per catalog, through ``closed_form.quad``.
 
-    ``scipy.integrate`` is imported on the first call, so the module
-    attribute must stay a function that ``_ball_integral`` looks up at call
-    time.
+    ``closed_form.quad`` is the name perfbench's tracer wraps, so the
+    catalog must look it up on the module at call time.
     """
 
     def test_catalog_calls_the_module_quad(self, monkeypatch):
@@ -247,20 +246,65 @@ class TestDeferredQuadrature:
 
         monkeypatch.setattr(closed_form, "quad", counting)
         assert radial_functionals(sol) == want
-        assert len(calls) == 9
-        assert set(calls) == {(0.0, 0.7)}
+        assert calls == [(0.0, 0.7)]
 
-    def test_custom_primitive_through_the_deferred_quad(self, monkeypatch):
-        calls = []
-        inner = geometry.quad
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("profile,radii", [
+        (EUCLID, (0.3, 1.5, 3.5)), (SPHERE, (0.3, 0.9, 1.5)), (HYPER, (0.3, 0.9, 1.5)),
+    ], ids=["euclidean", "spherical", "hyperbolic"])
+    def test_each_integral_matches_adaptive_quadrature(self, monkeypatch, profile,
+                                                       radii, n):
+        # The rule against scipy's adaptive quad on the same nine densities;
+        # a density that vanishes on the radial solution must give a
+        # (near-)zero integral on both.
+        from scipy import integrate
 
-        def counting(*args, **kwargs):
-            calls.append(args[2])
-            return inner(*args, **kwargs)
+        captured = []
+        inner = closed_form.quad
 
-        monkeypatch.setattr(geometry, "quad", counting)
-        profile = custom_profile(np.sin, np.cos, lambda r: -np.sin(r), math.pi / 2)
+        def capture(f, a, b):
+            captured.append(f)
+            return inner(f, a, b)
+
+        monkeypatch.setattr(closed_form, "quad", capture)
+        for R in radii:
+            captured.clear()
+            radial_functionals(radial_torsion_solution(profile, n, R))
+            (densities,) = captured
+            ours = inner(densities, 0.0, R)
+            scale = np.max(np.abs(ours))
+            ref = np.array([
+                integrate.quad(lambda r: densities(np.array([r]))[k, 0], 0.0, R,
+                               epsabs=1e-16 * scale, epsrel=2.5e-14, limit=200)[0]
+                for k in range(len(ours))])
+            for k, (got, want) in enumerate(zip(ours, ref)):
+                if abs(want) <= 1e-13 * scale:
+                    assert abs(got) <= 1e-13 * scale, (R, k, got, want)
+                else:
+                    assert abs(got - want) <= 1e-13 * abs(want), (R, k, got, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("profile,top", [
+        (EUCLID, 5.0), (SPHERE, 0.999 * math.pi / 2), (HYPER, 1.5),
+    ], ids=["euclidean", "spherical", "hyperbolic"])
+    def test_bochner_gap_is_rounding(self, profile, top, n):
+        # bw_lhs and bw_rhs_curvature are integrals of different densities;
+        # on the ball they agree exactly, so their gap measures the rule's
+        # rounding.  Below R ~ 0.3 the profile's H(r) = cosh r - 1 (or
+        # 1 - cos r) loses digits to cancellation, which is not the rule's.
+        for R in np.geomspace(0.3, top, 7):
+            cat = radial_functionals(radial_torsion_solution(profile, n, float(R)))
+            assert abs(cat.bw_gap) <= 1e-14 * abs(cat.bw_lhs), (R, cat.bw_gap)
+
+    def test_custom_primitive_checks_two_rules(self):
+        # h may take floats only; H is the 24-node rule, checked by 32 nodes.
+        profile = custom_profile(math.sin, math.cos, lambda r: -math.sin(r),
+                                 math.pi / 2)
         r = np.array([0.0, 0.3, 1.0, 1.5])
-        assert profile.H(r) == pytest.approx(1.0 - np.cos(r), abs=1e-12)
-        assert profile.H(0.8) == pytest.approx(1.0 - math.cos(0.8), abs=1e-12)
-        assert calls == [0.0, 0.3, 1.0, 1.5, 0.8]
+        assert profile.H(r) == pytest.approx(1.0 - np.cos(r), rel=1e-14, abs=1e-16)
+        assert profile.H(0.8) == pytest.approx(1.0 - math.cos(0.8), rel=1e-14)
+        # sqrt is not analytic at the pole, so the two rules disagree.
+        rough = custom_profile(math.sqrt, lambda r: 0.5 / math.sqrt(r),
+                               lambda r: -0.25 * r ** -1.5, 1.0)
+        with pytest.raises(QuadratureError, match="24 and 32 nodes differ"):
+            rough.H(0.5)

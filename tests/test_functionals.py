@@ -209,6 +209,25 @@ class TestIdentityReport:
         assert row.verdict == "pass"
         assert row.rel_residual < 1e-3
 
+    @pytest.mark.parametrize("units", [1e-6, 1.0, 1e6])
+    def test_inequality_verdicts_do_not_depend_on_units(self, units):
+        # Each row violated by 0.5% and by 2% of its scale, in any units.
+        exact = compute_catalog(radial_torsion_solution(EUCLID, 2, 1.0))
+        scaled = {f.name: getattr(exact, f.name) * units
+                  for f in dataclasses.fields(exact) if f.init and f.name != "n"}
+        for share, want in ((5e-3, "pass"), (2e-2, "fail")):
+            cat = dataclasses.replace(
+                exact, **dict(scaled,
+                              int_u_gradsq=scaled["int_u_h2"] * (1.0 + share),
+                              bw_rhs_curvature=scaled["bw_lhs"] * (1.0 + share)))
+            rows = {r.label: r for r in identity_report(cat, 1e-2)}
+            defect, bound = rows["energy_defect_sign"], rows["bw_lower_bound"]
+            assert defect.abs_residual == -cat.energy_defect
+            assert defect.rel_residual == pytest.approx(share, rel=1e-12)
+            assert bound.abs_residual == cat.bw_lhs - cat.bw_rhs_curvature
+            assert bound.rel_residual == pytest.approx(share / (1.0 + share), rel=1e-12)
+            assert (defect.verdict, bound.verdict) == (want, want)
+
     def test_tolerance_validation(self, ball_field):
         with pytest.raises(ValueError):
             identity_report(compute_catalog(ball_field), 0.0)

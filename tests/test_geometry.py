@@ -26,6 +26,7 @@ from torsionlab import (
     sphere_area,
     warping_jet,
 )
+from torsionlab.geometry import quad
 
 ALL_KINDS = [("euclidean", 10.0), ("spherical", math.pi / 2), ("hyperbolic", 5.0)]
 
@@ -317,6 +318,18 @@ class TestSphereArea:
     def test_rejects_low_dimension(self):
         with pytest.raises(ValueError):
             sphere_area(1)
+
+
+class TestQuad:
+    def test_rule_integrates_monomials_to_rounding(self):
+        # 24 Gauss-Legendre nodes are exact through degree 47.  With the
+        # weights as leggauss returns them t^36 is off by 2.7e-14.
+        k = np.arange(48)
+        got = quad(lambda t: t ** k[:, None], 0.0, 1.0)
+        assert np.max(np.abs(got * (k + 1) - 1.0)) <= 2e-15
+
+    def test_rule_maps_the_interval(self):
+        assert quad(lambda r: 3.0 * r * r, 1.0, 2.0) == pytest.approx(7.0, rel=1e-15)
 
 
 class TestRadialJet:

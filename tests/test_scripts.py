@@ -59,8 +59,8 @@ def test_cli_digests_cover_every_run(monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))
     runpy.run_path(str(SCRIPTS / "cli_digests.py"), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 77
-    assert len({line.split()[0] for line in lines}) == 77
+    assert len(lines) == 81
+    assert len({line.split()[0] for line in lines}) == 81
     for line in lines:
         assert re.fullmatch(r"\S+ 0 [0-9a-f]{16}", line), line
 
