@@ -309,14 +309,12 @@ def _columns(records, names) -> dict:
 def _run_radial(cfg: RunConfig) -> int:
     profile = cfg.profile()
     sol = radial_torsion_solution(profile, cfg.n, cfg.R0)
-    radii = [cfg.R0 * (j - 0.5) / cfg.Ns for j in range(1, cfg.Ns + 1)]
-    samples = []
-    for r in radii:
-        samples += (float(sol.u(r)), float(sol.u_r(r)))
+    radii = cfg.R0 * (np.arange(1, cfg.Ns + 1) - 0.5) / cfg.Ns
+    samples = np.stack([sol.u(radii), sol.u_r(radii)], axis=1).ravel().tolist()
     catalog = compute_catalog(sol).as_dict()
     _emit({"record": ["sample"] * len(samples) + ["catalog"] * len(catalog),
-           "name": ["u", "u_r"] * len(radii) + list(catalog),
-           "r": [r for r in radii for _ in range(2)] + [None] * len(catalog),
+           "name": ["u", "u_r"] * cfg.Ns + list(catalog),
+           "r": np.repeat(radii, 2).tolist() + [None] * len(catalog),
            "value": samples + list(catalog.values())}, cfg)
     return 0
 

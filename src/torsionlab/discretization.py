@@ -317,35 +317,40 @@ def _mapped_coefficients(s, rho, drho, d2rho, hh, hd):
     return A, B, C, D
 
 
-def _stencil(A, B, C, D, ds: float, dt: float) -> np.ndarray:
-    """Arm weights ``weights[1 + dj, 1 + di, ..., j, i]`` of the coefficients.
+def assemble(grid: Grid) -> LinearSystem:
+    """Sparse operator and right-hand side for Lap u = 2 h_dot on ``grid.domain``.
 
-    Linear in (A, B, C, D), whose last two axes are (s, theta).  On the
-    last ring each outer arm w is folded through the quadratic Dirichlet
+    The arm from node (j, i) to (j + dj, i + di) has the weight and the flat
+    column at index [1 + dj, 1 + di, j, i] of ``weights`` and ``cols``.  On
+    the last ring each outer arm w is folded through the quadratic Dirichlet
     ghost at s = 1 + ds/2, u_ghost = u_{last-1}/3 - 2 u_last: it adds -2 w
     to the arm with dj = 0, w/3 to the arm with dj = -1, and becomes 0.
+    With Ns >= 8 and Ntheta >= 16 the nine slots of a row have distinct
+    columns and become the CSR row as they stand, less their exact zeros.
+    A weight that is not finite (the metric over- or underflows at radii
+    below about 1e-153) raises ``SolverConvergenceError``.
     """
-    corner = B / (4.0 * ds * dt)
-    weights = np.empty((3, 3) + np.shape(A))
-    weights[1, 1] = -2.0 * A / ds ** 2 - 2.0 * C / dt ** 2
-    weights[2, 1] = A / ds ** 2 + D / (2.0 * ds)
-    weights[0, 1] = A / ds ** 2 - D / (2.0 * ds)
-    weights[1, 0] = weights[1, 2] = C / dt ** 2
-    weights[0, 0] = weights[2, 2] = corner
-    weights[0, 2] = weights[2, 0] = -corner
-    outer = weights[2, :, ..., -1, :]
-    weights[1, :, ..., -1, :] += -2.0 * outer
-    weights[0, :, ..., -1, :] += outer / 3.0
-    weights[2, :, ..., -1, :] = 0.0
-    return weights
+    ns, nt = grid.ns, grid.ntheta
+    ds, dt = grid.ds, grid.dtheta
+    weights = np.empty((3, 3, ns, nt))
+    with np.errstate(all="ignore"):
+        A, B, C, D = _mapped_coefficients(grid.s[:, None], grid.rho, grid.drho,
+                                          grid.d2rho, grid.h, grid.h_dot)
+        corner = B / (4.0 * ds * dt)
+        weights[1, 1] = -2.0 * A / ds ** 2 - 2.0 * C / dt ** 2
+        weights[2, 1] = A / ds ** 2 + D / (2.0 * ds)
+        weights[0, 1] = A / ds ** 2 - D / (2.0 * ds)
+        weights[1, 0] = weights[1, 2] = C / dt ** 2
+        weights[0, 0] = weights[2, 2] = corner
+        weights[0, 2] = weights[2, 0] = -corner
+        outer = weights[2, :, -1]
+        weights[1, :, -1] += -2.0 * outer
+        weights[0, :, -1] += outer / 3.0
+        weights[2, :, -1] = 0.0
+    if not np.isfinite(weights).all():
+        raise SolverConvergenceError(
+            "singular metric: the stencil weights are not finite", residual=math.inf)
 
-
-def _stencil_columns(ns: int, nt: int) -> np.ndarray:
-    """Flat index ``cols[1 + dj, 1 + di, j, i]`` of each arm's node.
-
-    Ring 0's inner arms point at the antipodal column, and the folded outer
-    arms of the last ring at their own ring.
-    """
     step = np.arange(-1, 2)
     ring = np.arange(ns)[:, None] + step[:, None, None]
     angle = (np.arange(nt) + step[:, None]) % nt
@@ -354,22 +359,7 @@ def _stencil_columns(ns: int, nt: int) -> np.ndarray:
     cols[0, :, 0] = (angle + nt // 2) % nt
     # The folded outer arms weigh zero; any column inside the grid will do.
     cols[2, :, -1] = cols[1, :, -1]
-    return cols
 
-
-def assemble(grid: Grid) -> LinearSystem:
-    """Sparse operator and right-hand side for Lap u = 2 h_dot on ``grid.domain``.
-
-    The arm from node (j, i) to (j + dj, i + di) has the ``_stencil`` weight
-    at ``_stencil_columns``.  With Ns >= 8 and Ntheta >= 16 the nine slots
-    of a row have distinct columns and become the CSR row as they stand,
-    less their exact zeros (the folded arms, and the cross-derivative arms
-    wherever rho' = 0).
-    """
-    weights = _stencil(*_mapped_coefficients(grid.s[:, None], grid.rho, grid.drho,
-                                             grid.d2rho, grid.h, grid.h_dot),
-                       grid.ds, grid.dtheta)
-    cols = _stencil_columns(grid.ns, grid.ntheta)
     size = grid.size
     matrix = sp.csr_matrix(
         (weights.transpose(2, 3, 0, 1).ravel(), cols.transpose(2, 3, 0, 1).ravel(),
@@ -536,6 +526,17 @@ def _first_derivatives(padded: np.ndarray, grid: Grid):
     return f_s, alpha, f_s / rho, f_t - alpha * f_s
 
 
+def _second_derivatives(U: np.ndarray, grid: Grid):
+    """Centred u_ss, u_st, u_tt of a padded array: with u_s, what A..D multiply."""
+    ds, dt = grid.ds, grid.dtheta
+    Up = np.roll(U, -1, axis=1)
+    Um = np.roll(U, 1, axis=1)
+    u_ss = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / ds ** 2
+    u_tt = (Up[1:-1] - 2.0 * U[1:-1] + Um[1:-1]) / dt ** 2
+    u_st = ((Up[2:] - Up[:-2]) - (Um[2:] - Um[:-2])) / (4.0 * ds * dt)
+    return u_ss, u_st, u_tt
+
+
 @dataclass(frozen=True, eq=False)
 class GradientField:
     """First and second derivatives of a discrete field in the orthonormal frame."""
@@ -557,7 +558,6 @@ def gradient_field(field: DiscreteField) -> GradientField:
     right-hand side up to the solver residual.
     """
     grid = field.grid
-    ds, dt = grid.ds, grid.dtheta
     rho = grid.rho[None, :]
     drho = grid.drho[None, :]
     d2rho = grid.d2rho[None, :]
@@ -566,11 +566,7 @@ def gradient_field(field: DiscreteField) -> GradientField:
 
     U = _padded(field.values, grid, dirichlet=True)
     u_s, alpha, u_r, u_ang = _first_derivatives(U, grid)
-    u_ss = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / ds ** 2
-    Up = np.roll(U, -1, axis=1)
-    Um = np.roll(U, 1, axis=1)
-    u_tt = (Up[1:-1] - 2.0 * U[1:-1] + Um[1:-1]) / dt ** 2
-    u_st = ((Up[2:] - Up[:-2]) - (Um[2:] - Um[:-2])) / (4.0 * ds * dt)
+    u_ss, u_st, u_tt = _second_derivatives(U, grid)
 
     u_tan = u_ang / hh
     grad_sq = u_r ** 2 + u_tan ** 2
@@ -642,10 +638,10 @@ def neumann_trace_jacobian(field: DiscreteField, parameters=None):
     the discrete problem M u = b only through rho, rho', rho'' at the grid
     angles and through h, h' at the nodes r = s rho, with dh/dp = h' dr/dp
     and dh'/dp = h'' dr/dp; so u_p = -M^{-1}(M_p u - b_p), one back-solve
-    on the field's factor with one column per parameter.  M_p is the
-    stencil of the coefficient derivatives, and those and the trace's own
-    dependence on the shape are taken by complex steps through
-    ``_mapped_coefficients`` and ``_trace``.
+    on the field's factor with one column per parameter.  M_p u applies the
+    coefficient derivatives (A_p, B_p, C_p, D_p) to the differences of the
+    padded field, and those and the trace's own dependence on the shape are
+    taken by complex steps through ``_mapped_coefficients`` and ``_trace``.
     """
     grid = field.grid
     eps = _COMPLEX_STEP
@@ -659,14 +655,15 @@ def neumann_trace_jacobian(field: DiscreteField, parameters=None):
     s = grid.s[:, None]
     d_r = s * d_rho[:, None, :]                 # (P, ns, ntheta)
     h_ddot = grid.profile.h_ddot(grid.r)
-    coefficients = _mapped_coefficients(
+    A_p, B_p, C_p, D_p = (c.imag / eps for c in _mapped_coefficients(
         s, rho[:, None, :], drho[:, None, :], d2rho[:, None, :],
-        grid.h + 1j * eps * grid.h_dot * d_r, grid.h_dot + 1j * eps * h_ddot * d_r)
-    arm_weights = _stencil(*(c.imag / eps for c in coefficients), grid.ds,
-                           grid.dtheta)
-    arms = field.values.ravel()[_stencil_columns(grid.ns, grid.ntheta)]
+        grid.h + 1j * eps * grid.h_dot * d_r, grid.h_dot + 1j * eps * h_ddot * d_r))
+    U = _padded(field.values, grid, dirichlet=True)
+    u_s = _first_derivatives(U, grid)[0]
+    u_ss, u_st, u_tt = _second_derivatives(U, grid)
     # M_p u - b_p with b = 2 h'(r) at the nodes.
-    forcing = np.einsum("abpji,abji->pji", arm_weights, arms) - 2.0 * h_ddot * d_r
+    forcing = (A_p * u_ss + B_p * u_st + C_p * u_tt + D_p * u_s
+               - 2.0 * h_ddot * d_r)
     d_u = -field.back_solve(forcing.reshape(len(forcing), -1).T).T
     d_u_s = _slope(d_u.reshape(forcing.shape), grid.ds)
     d_h_b = grid.profile.h_dot(grid.rho) * d_rho

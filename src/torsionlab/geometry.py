@@ -181,7 +181,8 @@ def make_profile(kind: str, r_max: float) -> WarpingProfile:
             h=np.sin,
             h_dot=np.cos,
             h_ddot=lambda r: -np.sin(r),
-            H=lambda r: 1.0 - np.cos(r),
+            # 1 - cos r and cosh r - 1 would cancel at small r.
+            H=lambda r: 2.0 * np.sin(r * 0.5) ** 2,
         )
     if kind == "hyperbolic":
         return WarpingProfile(
@@ -189,7 +190,7 @@ def make_profile(kind: str, r_max: float) -> WarpingProfile:
             h=np.sinh,
             h_dot=np.cosh,
             h_ddot=np.sinh,
-            H=lambda r: np.cosh(r) - 1.0,
+            H=lambda r: 2.0 * np.sinh(r * 0.5) ** 2,
         )
     raise ValueError(f"unknown profile kind {kind!r}; use custom_profile for custom h")
 

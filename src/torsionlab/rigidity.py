@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import (
+    _COMPLEX_STEP,
     SOLVER_TOL,
     DiscreteField,
     SolverConvergenceError,
@@ -74,20 +75,22 @@ class ShapeObjective:
 
         Exact for the discrete problem, of shape (ntheta, 1 + 2K), or only
         the columns at the indices ``parameters``; it costs one back-solve
-        on the kept factor with one right-hand side per column.
+        on the kept factor with one right-hand side per column.  The trace
+        derivatives are stepped back into ``_trace_residuals``: the step is
+        a power of two, so the stepped trace carries them exactly.
         """
+        eps = _COMPLEX_STEP
         values, weights = neumann_trace(self.field)
         d_values, d_weights = neumann_trace_jacobian(self.field, parameters)
-        total = np.sum(weights)
-        mean = np.sum(weights * values) / total
-        d_total = np.sum(d_weights, axis=1, keepdims=True)
-        d_mean = (np.sum(d_weights * values + weights * d_values, axis=1,
-                         keepdims=True) - mean * d_total) / total
-        # r_i = sqrt(w_i / W) (c_i / c_mean - 1)
-        d_residuals = (0.5 * (d_weights / weights - d_total / total) * self.residuals
-                       + np.sqrt(weights / total) * (d_values - values * d_mean / mean)
-                       / mean)
-        return d_residuals.T
+        return (_trace_residuals(values + 1j * eps * d_values,
+                                 weights + 1j * eps * d_weights).imag / eps).T
+
+
+def _trace_residuals(values, weights):
+    """r_i = sqrt(w_i / W) (c_i - c_mean) / c_mean along the last axis."""
+    total = np.sum(weights, axis=-1, keepdims=True)
+    mean = np.sum(weights * values, axis=-1, keepdims=True) / total
+    return np.sqrt(weights / total) * (values - mean) / mean
 
 
 def neumann_deviation(domain: StarDomain, profile: WarpingProfile, ns: int,
@@ -103,7 +106,7 @@ def neumann_deviation(domain: StarDomain, profile: WarpingProfile, ns: int,
     total, mean, var = trace_moments(values, weights)
     return ShapeObjective(j=var / mean ** 2, c_mean=mean,
                           c_std=math.sqrt(var),
-                          residuals=np.sqrt(weights / total) * (values - mean) / mean,
+                          residuals=_trace_residuals(values, weights),
                           field=field)
 
 
@@ -174,6 +177,7 @@ class OptimizationTrace:
 
 
 def _pack(domain: StarDomain, modes: int) -> np.ndarray:
+    """(r0, a_1..a_K, b_1..b_K), K = ``modes``, of the domain rotated to b_1 = 0."""
     a = np.zeros(modes)
     b = np.zeros(modes)
     a[: len(domain.cos_coeffs)] = domain.cos_coeffs[:modes]
@@ -185,11 +189,7 @@ def _pack(domain: StarDomain, modes: int) -> np.ndarray:
         rotated = domain.rotated(phase)
         a[: len(rotated.cos_coeffs)] = rotated.cos_coeffs[:modes]
         b[: len(rotated.sin_coeffs)] = rotated.sin_coeffs[:modes]
-    return np.concatenate([a, b[1:]])
-
-
-def _unpack(x: np.ndarray, r0: float, modes: int) -> StarDomain:
-    return StarDomain(r0, tuple(x[:modes]), (0.0,) + tuple(x[modes:]))
+    return np.concatenate([[domain.r0], a, [0.0], b[1:]])
 
 
 class _Stop(Exception):
@@ -230,21 +230,23 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
     if budget < 50:
         raise ValueError(f"evaluation budget must be at least 50, got {budget}")
 
-    r0 = initial.r0
-    # x = (a_1..a_K, b_2..b_K) is columns 1..K and K+2..2K of the Jacobian.
+    # x = (a_1..a_K, b_2..b_K) is written into the start's shape vector.
+    shape = _pack(initial, modes)
     columns = np.r_[1:modes + 1, modes + 2:2 * modes + 1]
     evaluations = 0
     rows: list[TraceRow] = []
-    best_x, best_j = None, math.inf
+    best_x, best_j, best_domain = None, math.inf, None
     last = (None, None)  # (x, objective) of the last solved shape
 
     def evaluate(x: np.ndarray):
-        nonlocal evaluations, best_x, best_j, last
+        nonlocal evaluations, best_x, best_j, best_domain, last
         if evaluations >= budget:
             raise _Stop("budget exhausted")
         evaluations += 1
+        shape[columns] = x
         try:
-            domain = _unpack(x, r0, modes)
+            domain = StarDomain(float(shape[0]), tuple(shape[1:modes + 1]),
+                                tuple(shape[modes + 1:]))
             obj = neumann_deviation(domain, profile, ns, ntheta, tol=solver_tol)
         except (ValueError, SolverConvergenceError):
             if best_x is None:
@@ -253,8 +255,8 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
             return None
         if obj.j < best_j:
             step = 0.0 if best_x is None else float(np.linalg.norm(x - best_x))
-            best_x, best_j = x.copy(), obj.j
-            rows.append(TraceRow(len(rows), evaluations, obj.j, r0,
+            best_x, best_j, best_domain = x.copy(), obj.j, domain
+            rows.append(TraceRow(len(rows), evaluations, obj.j, domain.r0,
                                  domain.cos_coeffs, domain.sin_coeffs, step))
         if obj.j <= target_j:
             raise _Stop("target reached")
@@ -274,7 +276,7 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
     # start-up of every command, and only this descent uses it.
     from scipy.optimize import least_squares
     try:
-        result = least_squares(residuals, _pack(initial, modes), jac=jacobian,
+        result = least_squares(residuals, shape[columns], jac=jacobian,
                                method="trf", max_nfev=budget)
         # Status 0 is trf's own evaluation cap; 1-4 are its tolerance tests,
         # reported under the frozen CLI status name "simplex collapsed".
@@ -282,7 +284,7 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
     except _Stop as stop:
         status, = stop.args
     return OptimizationTrace(
-        rows=tuple(rows), best_domain=_unpack(best_x, r0, modes),
+        rows=tuple(rows), best_domain=best_domain,
         best_j=best_j, evaluations=evaluations,
         converged=status != "budget exhausted", status=status,
     )

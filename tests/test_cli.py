@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,9 +270,8 @@ class TestOtherCommands:
         assert all(js[k + 1] <= js[k] for k in range(len(js) - 1))
 
     def test_solver_nonconvergence_exit_code(self, tmp_path, capsys):
-        # The tol case writes one stderr line.  The singular cases (disks
-        # and a star domain, at two grid sizes) may write numpy's overflow
-        # warnings first, so only their last line is checked.
+        # The tol case and the singular cases (disks and a star domain, at
+        # two grid sizes) each write one stderr line and no numpy warning.
         for cfg in ["command=solve\ngeometry=euclidean\nR0=1.0\ntol=1e-30",
                     "command=solve\ngeometry=spherical\nR0=1e-300",
                     "command=verify\ngeometry=hyperbolic\nR0=1e-300",
@@ -281,11 +281,8 @@ class TestOtherCommands:
                 captured = capsys.readouterr()
                 assert rc == 3, cfg + grid
                 assert captured.out == ""
-                last = captured.err.splitlines()[-1]
-                assert last.startswith("solver did not converge: ")
-                assert "Traceback" not in captured.err
-                if "tol" in cfg:
-                    assert captured.err.count("\n") == 1
+                assert captured.err.startswith("solver did not converge: ")
+                assert captured.err.count("\n") == 1
 
     def test_sweep_continues_past_singular_factor(self, capsys):
         rc = main(["--command", "sweep", "--family", "ball", "--family_values",
@@ -305,10 +302,8 @@ class TestOtherCommands:
             captured = capsys.readouterr()
             assert rc == 3, args
             assert captured.out == ""
-            assert "no feasible shape" in captured.err.splitlines()[-1]
-            assert "Traceback" not in captured.err
-            if args[0] == "--tol":      # the singular case may warn first
-                assert captured.err.count("\n") == 1
+            assert "no feasible shape" in captured.err
+            assert captured.err.count("\n") == 1
 
 
 def csv_cells(column):
@@ -336,8 +331,8 @@ class TestSerialization:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main([path, "--out", out1]) == 0
         assert main([path, "--out", out2]) == 0
-        first = open(out1, "rb").read()
-        assert first == open(out2, "rb").read()
+        first = Path(out1).read_bytes()
+        assert first == Path(out2).read_bytes()
         assert first.decode().count("\n") == 11
 
     def test_json_mirrors_csv(self, tmp_path, capsys):
@@ -372,7 +367,7 @@ class TestSerialization:
         captured = capsys.readouterr()
         assert rc == 0
         assert captured.out == ""
-        assert open(target).read().startswith("label,")
+        assert read_out(target).startswith("label,")
 
 
 # The writer before column tables, tuple rows and cached line templates: one
@@ -406,10 +401,16 @@ def table_rows(table):
     return [dict(zip(table, row)) for row in zip(*columns)]
 
 
+def read_out(path):
+    """An output file's text, with no newline translation."""
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
 def emitted_payload(tmp_path, table, fmt):
     out = str(tmp_path / "out")
     cli._emit(table, RunConfig(format=fmt, out=out))
-    return open(out, newline="").read()
+    return read_out(out)
 
 
 def reference_solve_rows(cfg):
@@ -465,7 +466,7 @@ class TestWriterBytes:
         cfg = parse_config(text, [("format", fmt)])
         columns = ["record", "j", "i", "theta", "r", "value", "weight"]
         want = reference_payload(reference_solve_rows(cfg), columns, fmt)
-        assert open(out, newline="").read() == want
+        assert read_out(out) == want
         # The grid's float columns reach the writer as arrays, not row tuples.
         (table,) = emitted
         assert list(table) == columns
@@ -484,7 +485,7 @@ class TestWriterBytes:
         assert all(map(is_column, table.values()))
         assert len({len(column) for column in table.values()}) == 1
         want = reference_payload(table_rows(table), list(table), fmt)
-        assert open(out, newline="").read() == want
+        assert read_out(out) == want
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_special_cells_match_reference(self, tmp_path, fmt):

@@ -290,11 +290,23 @@ class TestCatalogQuadrature:
     def test_bochner_gap_is_rounding(self, profile, top, n):
         # bw_lhs and bw_rhs_curvature are integrals of different densities;
         # on the ball they agree exactly, so their gap measures the rule's
-        # rounding.  Below R ~ 0.3 the profile's H(r) = cosh r - 1 (or
-        # 1 - cos r) loses digits to cancellation, which is not the rule's.
+        # rounding.
         for R in np.geomspace(0.3, top, 7):
             cat = radial_functionals(radial_torsion_solution(profile, n, float(R)))
             assert abs(cat.bw_gap) <= 1e-14 * abs(cat.bw_lhs), (R, cat.bw_gap)
+
+    @pytest.mark.parametrize("profile", [EUCLID, SPHERE, HYPER],
+                             ids=["euclidean", "spherical", "hyperbolic"])
+    def test_small_balls_keep_their_digits(self, profile):
+        # The primitives are the half-angle forms 2 sin^2(r/2) and
+        # 2 sinh^2(r/2): 1 - cos r and cosh r - 1 cancel at small r, which
+        # left the worst ratio below at 1.7e-12 (spherical) and 9.0e-12
+        # (hyperbolic).  Measured with the half-angle forms: 1.2e-15.
+        for R in np.geomspace(0.01, 0.3, 12):
+            for n in (2, 3, 4, 5):
+                cat = radial_functionals(radial_torsion_solution(profile, n, float(R)))
+                assert abs(cat.bw_gap) <= 1e-14 * abs(cat.bw_lhs), (R, n)
+                assert abs(cat.energy_defect) <= 1e-14 * abs(cat.int_u_h2), (R, n)
 
     def test_custom_primitive_checks_two_rules(self):
         # h may take floats only; H is the 24-node rule, checked by 32 nodes.

@@ -337,8 +337,8 @@ class TestSolve:
         StarDomain(1e-300, (0.0, 0.1)),             # SuperLU
     ], ids=["disk", "splu"])
     def test_singular_factor_raises_nonconvergence(self, domain, grid):
-        # At R0 = 1e-300 the metric factors over- and underflow, and the
-        # factorization finds the matrix singular.
+        # At R0 = 1e-300 the metric factors over- and underflow, and
+        # assembly finds the stencil weights non-finite before any factor.
         with pytest.raises(SolverConvergenceError) as info:
             solve_torsion(EUCLID, domain, *grid)
         assert info.value.residual == math.inf

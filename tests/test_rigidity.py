@@ -404,3 +404,37 @@ class TestShapeJacobian:
         else:
             assert errors[1] < errors[0] / 3.0 and errors[2] < errors[1] / 3.0, errors
             assert errors[2] < 2e-4, errors
+
+
+class TestDegenerateHyperbolicRadius:
+    """Descents on either side of r0 = arccosh 2, where sigma_2 = 0.
+
+    ``ball_sigma`` vanishes there for k = 2, so the k = 2 harmonic no longer
+    moves the trace to first order.  Just below, a descent from a2 = 0.15
+    stops on a non-round shape with J at the target; just above, both signs
+    of a2 return to the ball.  Measured at 32x64, modes 8: below, target
+    reached after 3 evaluations at J = 1.04e-9, a2 = 0.134, a4 = 0.0118;
+    above, 4 evaluations to |a2| = 1.6e-4.
+    """
+
+    R_DEGENERATE = math.acosh(2.0)
+
+    def descend(self, r0, a2):
+        return optimize_shape(StarDomain(r0, (0.0, a2)), 8, HYPER, budget=200,
+                              ns=32, ntheta=64)
+
+    def test_below_stops_on_a_non_round_shape(self):
+        trace = self.descend(self.R_DEGENERATE - 0.03, 0.15)
+        a = trace.best_domain.cos_coeffs
+        assert trace.status == "target reached"
+        assert trace.evaluations <= 3
+        assert trace.best_j < 2e-9
+        assert 0.13 < a[1] < 0.14, a
+        assert 0.011 < a[3] < 0.013, a
+
+    @pytest.mark.parametrize("a2", [0.15, -0.15])
+    def test_above_returns_to_the_ball(self, a2):
+        trace = self.descend(self.R_DEGENERATE + 0.03, a2)
+        assert trace.status == "target reached"
+        assert trace.evaluations <= 4
+        assert abs(trace.best_domain.cos_coeffs[1]) < 5e-4

@@ -59,8 +59,8 @@ def test_cli_digests_cover_every_run(monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))
     runpy.run_path(str(SCRIPTS / "cli_digests.py"), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 81
-    assert len({line.split()[0] for line in lines}) == 81
+    assert len(lines) == 83
+    assert len({line.split()[0] for line in lines}) == 83
     for line in lines:
         assert re.fullmatch(r"\S+ 0 [0-9a-f]{16}", line), line
 
@@ -80,6 +80,14 @@ CONFIGS = {
                                      modes=2, budget=400, Ns=64, Ntheta=128),
                            "index,evaluations,j,spread,r0,a1,a2,b1,b2,status",
                            ["--budget", "50"]),
+    "hyperbolic_branch.cfg": (RunConfig(command="rigidity", geometry="hyperbolic",
+                                        R0=math.acosh(2.0) - 0.03,
+                                        cos_coeffs={2: 0.15}, modes=8,
+                                        Ns=32, Ntheta=64),
+                              "index,evaluations,j,spread,r0,"
+                              + ",".join(f"a{k}" for k in range(1, 9)) + ","
+                              + ",".join(f"b{k}" for k in range(1, 9)) + ",status",
+                              []),
 }
 
 
