@@ -163,11 +163,8 @@ def parse_config(text: str = "", overrides=()) -> RunConfig:
 
 
 def _validate(cfg: RunConfig, sources: dict) -> None:
-    def where(key: str) -> str:
-        return sources.get(key, "config")
-
     def fail(key: str, message: str):
-        raise ConfigError(f"{where(key)}: {message}")
+        raise ConfigError(f"{sources.get(key, 'config')}: {message}")
 
     for key, choices in (("command", COMMANDS), ("geometry", GEOMETRIES),
                          ("format", FORMATS), ("family", FAMILIES)):
@@ -198,7 +195,10 @@ def _validate(cfg: RunConfig, sources: dict) -> None:
     try:
         domain = cfg.domain()
     except ValueError as exc:
-        raise ConfigError(f"{where('R0')}: {exc}") from None
+        # The shape comes from R0 and the coefficient keys: name each set one.
+        shape = [place for key, place in sources.items()
+                 if key == "R0" or _COEFF_KEY.match(key)]
+        raise ConfigError(f"{', '.join(shape)}: {exc}") from None
     if cfg.command == "rigidity" and any(domain.cos_coeffs[cfg.modes:]
                                          + domain.sin_coeffs[cfg.modes:]):
         fail("modes", f"the start shape has a nonzero harmonic above modes = {cfg.modes}")

@@ -132,6 +132,12 @@ class RadialSolution:
         self._check_radius(r)
         return self.profile.h(r)
 
+    def jets(self, r):
+        """Warping jet and jet of u at r in [0, R]; u' = h and u'' = h'."""
+        self._check_radius(r)
+        w = warping_jet(self.profile, r)
+        return w, RadialJet(self.profile.H(r) - self.HR, w.value, w.d1)
+
     @property
     def c(self) -> float:
         """Constant normal derivative on the boundary sphere."""
@@ -150,11 +156,6 @@ def radial_torsion_solution(profile: WarpingProfile, n: int, R: float) -> Radial
     return RadialSolution(profile=profile, n=n, R=float(R))
 
 
-def _jet_of_u(u, w: RadialJet) -> RadialJet:
-    """Jet of u = H(r) - H(R) from its value and the warping jet: u' = h, u'' = h'."""
-    return RadialJet(u, w.value, w.d1)
-
-
 def bochner_residual(sol: RadialSolution, r) -> float:
     """Pointwise Bochner identity residual on the radial solution.
 
@@ -162,16 +163,15 @@ def bochner_residual(sol: RadialSolution, r) -> float:
     from the geometry operations; the result is identically zero, so the
     returned number is pure floating-point noise.
     """
-    sol._check_radius(r)
     n = sol.n
-    w = warping_jet(sol.profile, r)
+    w, u = sol.jets(r)
     hh, hd, hdd = float(w.value), float(w.d1), float(w.d2)
 
     # |Du|^2 = h^2; feed its half-jet through the radial Laplacian.
     half_grad_sq = RadialJet(0.5 * hh * hh, hh * hd, hd * hd + hh * hdd)
     half_lap_grad_sq = laplacian_radial(n, w, half_grad_sq)
 
-    rad, ang = radial_hessian(w, _jet_of_u(sol.profile.H(r) - sol.HR, w))
+    rad, ang = radial_hessian(w, u)
     hess_sq = rad * rad + (n - 1) * ang * ang
 
     # Lap u = n h_dot, so D(Lap u) = n h_ddot d/dr and Du = h d/dr.
@@ -187,15 +187,14 @@ def pohozaev_pointwise_residual(sol: RadialSolution, r) -> float:
     on the radial solution; its divergence must match the bulk integrand
     (n-2)/2 h_dot |Du|^2 - h u_r Lap u.
     """
-    sol._check_radius(r)
     n = sol.n
-    w = warping_jet(sol.profile, r)
+    w, u = sol.jets(r)
     hh, hd = float(w.value), float(w.d1)
 
     flux_field = RadialJet(-0.5 * hh ** 3, -1.5 * hh * hh * hd, 0.0)
     lhs = divergence_radial(n, w, flux_field)
 
-    lap_u = laplacian_radial(n, w, _jet_of_u(sol.profile.H(r) - sol.HR, w))
+    lap_u = laplacian_radial(n, w, u)
     rhs = 0.5 * (n - 2) * hd * hh * hh - hh * hh * lap_u
     return float(lhs - rhs)
 
@@ -206,9 +205,7 @@ def newton_equality_check(sol: RadialSolution, r) -> float:
     The Hessian of u = H(r) - H(R) is h_dot times the metric, so all n
     eigenvalues agree and the arithmetic-quadratic gap closes identically.
     """
-    sol._check_radius(r)
-    w = warping_jet(sol.profile, r)
-    rad, ang = radial_hessian(w, _jet_of_u(sol.profile.H(r) - sol.HR, w))
+    rad, ang = radial_hessian(*sol.jets(r))
     return newton_gap(sol.n, [rad] + [ang] * (sol.n - 1))
 
 
@@ -221,12 +218,11 @@ def radial_functionals(sol: RadialSolution) -> FunctionalCatalog:
     are assigned from a single integral so the closed-form identities hold
     with identical numbers.
     """
-    n, H, HR = sol.n, sol.profile.H, sol.HR
+    n = sol.n
 
     def densities(r):
-        w = warping_jet(sol.profile, r)
-        mu = HR - H(r)              # -u >= 0
-        u = _jet_of_u(-mu, w)
+        w, u = sol.jets(r)
+        mu = -u.value               # -u >= 0
         rad, ang = radial_hessian(w, u)
         lap = laplacian_radial(n, w, u)
         hess_sq = rad * rad + (n - 1) * ang * ang

@@ -61,7 +61,8 @@ __all__ = [
     "integrate",
 ]
 
-# Validation resolution for domain positivity and radius bounds.
+# Angular samples of the domain positivity and radius-bound checks, and
+# of the projection in ``StarDomain.from_function``.
 _VALIDATION_SAMPLES = 4096
 
 # Default bound on the verified scaled residual of ``solve``.
@@ -173,16 +174,15 @@ class StarDomain:
         return cls(r0=float(radius))
 
     @classmethod
-    def from_function(cls, fn, modes: int, samples: int = _VALIDATION_SAMPLES
-                      ) -> "StarDomain":
+    def from_function(cls, fn, modes: int) -> "StarDomain":
         """Project a positive boundary-radius function onto ``modes`` harmonics."""
-        theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+        theta = np.linspace(0.0, 2.0 * math.pi, _VALIDATION_SAMPLES, endpoint=False)
         radii = np.asarray([fn(t) for t in theta], dtype=float)
-        spectrum = np.fft.rfft(radii) / samples
+        spectrum = np.fft.rfft(radii) / _VALIDATION_SAMPLES
         r0 = float(spectrum[0].real)
         if r0 <= 0:
             raise ValueError("mean boundary radius must be positive")
-        if modes >= samples // 2:
+        if modes >= _VALIDATION_SAMPLES // 2:
             raise ValueError("requested more harmonics than samples resolve")
         a = 2.0 * spectrum[1:modes + 1].real / r0
         b = -2.0 * spectrum[1:modes + 1].imag / r0
@@ -279,10 +279,6 @@ class DiscreteField:
     @property
     def profile(self) -> WarpingProfile:
         return self.grid.profile
-
-    @property
-    def domain(self) -> StarDomain:
-        return self.grid.domain
 
 
 class SolverConvergenceError(RuntimeError):
@@ -633,8 +629,8 @@ def neumann_trace_jacobian(field: DiscreteField, parameters=None):
 
     Returns (d_values, d_weights), each of shape (P, ntheta): the
     derivatives of the trace values and weights in the parameters
-    (r0, a_1..a_K, b_1..b_K), K = ``field.domain.modes``, or only in those
-    at the indices ``parameters`` into that tuple.  A parameter p reaches
+    (r0, a_1..a_K, b_1..b_K), K = ``field.grid.domain.modes``, or only in
+    those at the indices ``parameters`` into that tuple.  A parameter p reaches
     the discrete problem M u = b only through rho, rho', rho'' at the grid
     angles and through h, h' at the nodes r = s rho, with dh/dp = h' dr/dp
     and dh'/dp = h'' dr/dp; so u_p = -M^{-1}(M_p u - b_p), one back-solve

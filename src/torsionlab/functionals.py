@@ -124,15 +124,8 @@ def _discrete_catalog(field: DiscreteField) -> FunctionalCatalog:
     def vol(values) -> float:
         return integrate(values, field)
 
-    int_hdot = vol(hd)
-    int_hdot_gradsq = vol(hd * g.grad_sq)
-    int_u_gradsq = vol(mu * g.grad_sq)
-    int_u_radial_flux = vol(mu * hh * g.u_r)
-    int_u_h2 = vol(mu * hh * hh)
     int_u_hdot2 = vol(mu * hd * hd)
     int_u_ur_hddot = vol(mu * g.u_r * hdd)
-    int_u_h_hddot = vol(mu * hh * hdd)
-    int_ur_h_hdot = vol(g.u_r * hh * hd)
 
     # Left side of the Bochner bound, integrated by parts once so only first
     # derivatives of |Du|^2 are ever formed on the grid.
@@ -165,17 +158,17 @@ def _discrete_catalog(field: DiscreteField) -> FunctionalCatalog:
     return FunctionalCatalog(
         n=n,
         bdry_measure=bdry_measure,
-        int_hdot=int_hdot,
-        int_hdot_gradsq=int_hdot_gradsq,
+        int_hdot=vol(hd),
+        int_hdot_gradsq=vol(hd * g.grad_sq),
         bw_lhs=bw_lhs,
         bw_rhs_curvature=bw_rhs_curvature,
-        int_u_gradsq=int_u_gradsq,
-        int_u_radial_flux=int_u_radial_flux,
+        int_u_gradsq=vol(mu * g.grad_sq),
+        int_u_radial_flux=vol(mu * hh * g.u_r),
         int_u_hdot2=int_u_hdot2,
         int_u_ur_hddot=int_u_ur_hddot,
-        int_u_h_hddot=int_u_h_hddot,
-        int_u_h2=int_u_h2,
-        int_ur_h_hdot=int_ur_h_hdot,
+        int_u_h_hddot=vol(mu * hh * hdd),
+        int_u_h2=vol(mu * hh * hh),
+        int_ur_h_hdot=vol(g.u_r * hh * hd),
         neumann_sq_rhs=neumann_sq_rhs,
         newton_int=newton_int,
         pohozaev_flux=pohozaev_flux,
@@ -203,26 +196,25 @@ def identity_report(catalog: FunctionalCatalog, tolerance: float) -> IdentityRep
 
     records = []
 
-    def equality(label, hyp, lhs, rhs):
-        abs_res = abs(lhs - rhs)
-        rel_res = abs_res / max(abs(lhs), abs(rhs), _DENOM_FLOOR)
+    def record(label, hyp, lhs, rhs, abs_res, rel_res):
         if hyp == CONSTANT_NEUMANN and not neumann_ok:
             verdict = "not_applicable"
         else:
             verdict = "pass" if rel_res <= tolerance else "fail"
         records.append(IdentityRecord(label, hyp, lhs, rhs, abs_res, rel_res, verdict))
 
+    def equality(label, hyp, lhs, rhs):
+        abs_res = abs(lhs - rhs)
+        record(label, hyp, lhs, rhs, abs_res,
+               abs_res / max(abs(lhs), abs(rhs), _DENOM_FLOOR))
+
     def lower_bound(label, hyp, lhs, rhs, scale):
         # Requires lhs >= rhs.  The signed slack goes in the absolute column;
         # the relative column holds the violation (zero while satisfied),
         # i.e. the distance to the feasible side, over ``scale``.
         slack = lhs - rhs
-        rel = max(0.0, -slack) / max(abs(scale), _DENOM_FLOOR)
-        if hyp == CONSTANT_NEUMANN and not neumann_ok:
-            verdict = "not_applicable"
-        else:
-            verdict = "pass" if rel <= tolerance else "fail"
-        records.append(IdentityRecord(label, hyp, lhs, rhs, slack, rel, verdict))
+        record(label, hyp, lhs, rhs, slack,
+               max(0.0, -slack) / max(abs(scale), _DENOM_FLOOR))
 
     c = catalog.c_mean
 

@@ -49,6 +49,9 @@ __all__ = [
     "sweep",
 ]
 
+# Harmonics of an offset disk's boundary series.
+_OFFSET_MODES = 24
+
 
 class NoFeasibleShapeError(RuntimeError):
     """The descent's start shape is invalid, leaves the profile's range or fails to solve."""
@@ -125,13 +128,13 @@ def ball_sigma(profile: WarpingProfile, r0: float, k: int) -> float:
     return (warp.d1 - k) / warp.value
 
 
-def offset_disk(radius: float, offset: float, modes: int = 24) -> StarDomain:
+def offset_disk(radius: float, offset: float) -> StarDomain:
     """Euclidean disk of the given radius centered a distance ``offset`` away.
 
     In polar coordinates about the original center the boundary radius is
     rho(theta) = offset cos(theta) + sqrt(radius^2 - offset^2 sin^2(theta)),
     projected onto a short Fourier series (coefficients decay geometrically
-    in offset/radius, so the default 24 harmonics are exact to roundoff).
+    in offset/radius, so ``_OFFSET_MODES`` harmonics are exact to roundoff).
     """
     if not 0.0 <= offset < radius:
         raise ValueError(f"need 0 <= offset < radius, got offset {offset}, radius {radius}")
@@ -143,12 +146,12 @@ def offset_disk(radius: float, offset: float, modes: int = 24) -> StarDomain:
             radius ** 2 - (offset * math.sin(theta)) ** 2
         )
 
-    return StarDomain.from_function(rho, modes)
+    return StarDomain.from_function(rho, _OFFSET_MODES)
 
 
-def offset_family(radius: float, offsets, modes: int = 24):
+def offset_family(radius: float, offsets):
     """(offset, domain) pairs for a family of displaced disks."""
-    return [(float(d), offset_disk(radius, float(d), modes)) for d in offsets]
+    return [(float(d), offset_disk(radius, float(d))) for d in offsets]
 
 
 def ball_family(radii):
@@ -220,15 +223,17 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
     budget is spent (the best iterate seen is returned with
     ``converged=False``), or when least_squares stops on its own
     tolerances.  A start that cannot be solved raises
-    ``NoFeasibleShapeError``; a start with a nonzero harmonic above
-    ``modes`` raises ``ValueError``.
+    ``NoFeasibleShapeError``.  ``modes`` must lie in 1..ntheta // 2, since
+    a higher harmonic aliases on the grid's angles, and ``budget`` must be
+    at least 1; either out of range, or a start with a nonzero harmonic
+    above ``modes``, raises ``ValueError``.
     """
-    if not (isinstance(modes, (int, np.integer)) and 1 <= modes <= 8):
-        raise ValueError(f"modes must be an integer in 1..8, got {modes!r}")
+    if not (isinstance(modes, (int, np.integer)) and 1 <= modes <= ntheta // 2):
+        raise ValueError(f"modes must be an integer in 1..{ntheta // 2}, got {modes!r}")
     if any(initial.cos_coeffs[modes:] + initial.sin_coeffs[modes:]):
         raise ValueError(f"the start shape has a nonzero harmonic above modes = {modes}")
-    if budget < 50:
-        raise ValueError(f"evaluation budget must be at least 50, got {budget}")
+    if budget < 1:
+        raise ValueError(f"evaluation budget must be at least 1, got {budget}")
 
     # x = (a_1..a_K, b_2..b_K) is written into the start's shape vector.
     shape = _pack(initial, modes)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsionlab.cli as cli
+import torsionlab.discretization as discretization
 from torsionlab import neumann_trace, solve_torsion
 from torsionlab.cli import ConfigError, RunConfig, main, parse_config, run
 
@@ -98,6 +99,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"flag --Ns"):
             parse_config("command=solve", [("Ns", "4")])
 
+    def test_degenerate_domain_names_its_sources(self):
+        # The shape comes from R0 and the coefficients; each one set is named.
+        with pytest.raises(ConfigError,
+                           match=r"^flag --a2: degenerate domain"):
+            parse_config("command=solve", [("a2", "1.5")])
+        with pytest.raises(ConfigError,
+                           match=r"^config line 2, config line 3: degenerate"):
+            parse_config("command=solve\nR0=0.5\na2=1.5")
+        with pytest.raises(ConfigError,
+                           match=r"^config line 1, flag --b3: degenerate"):
+            parse_config("a2=0.6\ncommand=solve", [("b3", "0.6")])
+
     def test_coefficient_keys(self):
         cfg = parse_config("command=solve\nR0=0.8\na3=0.15\nb2=-0.05")
         assert cfg.cos_coeffs == {3: 0.15}
@@ -130,6 +143,7 @@ class TestParseConfig:
     def test_scalar_bounds(self):
         for body, pattern in [
             ("command=walk", "command"),
+            ("command=radial\nn=1", "n must be >= 2, got 1"),
             ("command=solve\ngeometry=flat", "geometry"),
             ("command=solve\nR0=-1", "R0"),
             ("command=solve\nNs=4", "Ns"),
@@ -283,6 +297,18 @@ class TestOtherCommands:
                 assert captured.out == ""
                 assert captured.err.startswith("solver did not converge: ")
                 assert captured.err.count("\n") == 1
+
+    def test_singular_factor_exit_code(self, monkeypatch, capsys):
+        def singular(A, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(discretization, "splu", singular)
+        rc = main(["--command", "solve", "--a2", "0.1", "--Ns", "8",
+                   "--Ntheta", "16"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == "solver did not converge: Factor is exactly singular\n"
 
     def test_sweep_continues_past_singular_factor(self, capsys):
         rc = main(["--command", "sweep", "--family", "ball", "--family_values",

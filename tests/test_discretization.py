@@ -166,7 +166,7 @@ class TestStarDomain:
         with pytest.raises(ValueError):
             StarDomain.from_function(lambda t: math.cos(t), modes=2)
         with pytest.raises(ValueError):
-            StarDomain.from_function(lambda t: 1.0, modes=10, samples=16)
+            StarDomain.from_function(lambda t: 1.0, modes=2048)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -343,6 +343,30 @@ class TestSolve:
             solve_torsion(EUCLID, domain, *grid)
         assert info.value.residual == math.inf
         assert "singular" in str(info.value)
+
+    def test_singular_splu_raises_nonconvergence(self, monkeypatch):
+        def singular(A, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(discretization, "splu", singular)
+        with pytest.raises(SolverConvergenceError,
+                           match="^Factor is exactly singular$") as info:
+            solve_torsion(EUCLID, StarDomain(1.0, (0.05,), (0.0, 0.1)), 8, 16)
+        assert info.value.residual == math.inf
+
+    def test_singular_disk_factor_raises_nonconvergence(self, monkeypatch):
+        # dgttrf reports a zero pivot through info > 0, not by raising.
+        exact = discretization.lapack.dgttrf
+
+        def singular(*args):
+            *factor, info = exact(*args)
+            return (*factor, 5)
+
+        monkeypatch.setattr(discretization.lapack, "dgttrf", singular)
+        with pytest.raises(SolverConvergenceError,
+                           match="^disk factor is singular in row 5$") as info:
+            solve_torsion(EUCLID, StarDomain.ball(1.0), 8, 16)
+        assert info.value.residual == math.inf
 
     @pytest.mark.parametrize("domain", [
         StarDomain.ball(1.0),                       # disk factorization

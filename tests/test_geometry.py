@@ -127,6 +127,11 @@ class TestCustomProfile:
             custom_profile(math.cos, lambda r: -math.sin(r),
                            lambda r: -math.cos(r), 1.0)
 
+    @pytest.mark.parametrize("r_max", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_invalid_r_max(self, r_max):
+        with pytest.raises(ValueError, match="r_max must be a positive finite"):
+            custom_profile(math.sin, math.cos, lambda r: -math.sin(r), r_max)
+
 
 class TestWarpingJet:
     @pytest.mark.parametrize("kind,rmax", ALL_KINDS)

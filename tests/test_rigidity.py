@@ -217,9 +217,9 @@ class TestOptimizeShape:
         with pytest.raises(ValueError):
             optimize_shape(ball, 0, SPHERE, budget=100, ns=16, ntheta=32)
         with pytest.raises(ValueError):
-            optimize_shape(ball, 9, SPHERE, budget=100, ns=16, ntheta=32)
+            optimize_shape(ball, 17, SPHERE, budget=100, ns=16, ntheta=32)
         with pytest.raises(ValueError):
-            optimize_shape(ball, 2, SPHERE, budget=49, ns=16, ntheta=32)
+            optimize_shape(ball, 2, SPHERE, budget=0, ns=16, ntheta=32)
         with pytest.raises(ValueError, match="harmonic above modes"):
             optimize_shape(StarDomain(0.5, (0.0, 0.0, 0.1)), 1, SPHERE,
                            budget=100, ns=16, ntheta=32)
@@ -232,11 +232,17 @@ class TestOptimizeShape:
             optimize_shape(start, 2, SPHERE, budget=50, ns=16, ntheta=32)
 
     def test_rotation_gauge_fixed(self):
-        # A sine-led start is rotated into the cosine gauge before descent.
-        trace = optimize_shape(StarDomain(math.pi / 4, (), (0.0, 0.08)), 2,
-                               SPHERE, budget=120, ns=16, ntheta=32)
+        # A start with b1 != 0 is rotated by atan2(b1, a1), which takes its
+        # first harmonic into the cosine term, and b1 stays pinned at 0.
+        initial = StarDomain(math.pi / 4, (0.03, 0.02), (0.04, 0.08))
+        trace = optimize_shape(initial, 2, SPHERE, budget=120, ns=16, ntheta=32)
+        rotated = initial.rotated(math.atan2(0.04, 0.03))
+        first = trace.rows[0]
+        assert first.cos_coeffs == rotated.cos_coeffs
+        assert first.sin_coeffs[1:] == rotated.sin_coeffs[1:]
+        assert first.cos_coeffs[0] == pytest.approx(0.05, rel=1e-12)
+        assert all(row.sin_coeffs[0] == 0.0 for row in trace.rows)
         assert math.isfinite(trace.best_j)
-        assert trace.best_domain.sin_coeffs[0] == 0.0
 
     @pytest.mark.parametrize("signs", itertools.product((-1.0, 1.0), repeat=3),
                              ids=lambda signs: "".join("+-"[s < 0] for s in signs))
@@ -431,6 +437,15 @@ class TestDegenerateHyperbolicRadius:
         assert trace.best_j < 2e-9
         assert 0.13 < a[1] < 0.14, a
         assert 0.011 < a[3] < 0.013, a
+
+    def test_below_descends_past_eight_modes(self):
+        # Below the degenerate radius J's floor is the shape's Fourier
+        # truncation: modes 8 stop at J = 9.3e-10, modes 10 at 1.06e-11.
+        trace = optimize_shape(StarDomain(self.R_DEGENERATE - 0.03, (0.0, 0.15)),
+                               10, HYPER, budget=50, ns=32, ntheta=64,
+                               target_j=0.0)
+        assert trace.best_j < 1e-10
+        assert 0.13 < trace.best_domain.cos_coeffs[1] < 0.14
 
     @pytest.mark.parametrize("a2", [0.15, -0.15])
     def test_above_returns_to_the_ball(self, a2):
