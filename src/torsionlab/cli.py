@@ -24,7 +24,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import groupby
 
 import numpy as np
@@ -44,33 +44,15 @@ from .rigidity import (NoFeasibleShapeError, ball_family, offset_family,
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
-COMMANDS = ("radial", "solve", "verify", "rigidity", "sweep")
-GEOMETRIES = ("euclidean", "spherical", "hyperbolic")
-FORMATS = ("csv", "json")
-FAMILIES = ("offset", "ball")
-
 # r_max for profile construction: the hemisphere cap is a hard geometric
 # bound, the others are generous working limits for desk-scale runs.
 _R_MAX = {"euclidean": 50.0, "spherical": math.pi / 2, "hyperbolic": 50.0}
 
-_COEFF_KEY = re.compile(r"^([ab])([1-9][0-9]?)$")
+GEOMETRIES = tuple(_R_MAX)
+FORMATS = ("csv", "json")
+FAMILIES = ("offset", "ball")
 
-_SCALAR_KEYS = {
-    "command": str,
-    "geometry": str,
-    "n": int,
-    "R0": float,
-    "Ns": int,
-    "Ntheta": int,
-    "tol": float,
-    "report_tol": float,
-    "out": str,
-    "format": str,
-    "modes": int,
-    "budget": int,
-    "family": str,
-    "family_values": str,
-}
+_COEFF_KEY = re.compile(r"^([ab])([1-9][0-9]?)$")
 
 
 class ConfigError(ValueError):
@@ -104,6 +86,12 @@ class RunConfig:
 
     def profile(self):
         return make_profile(self.geometry, _R_MAX[self.geometry])
+
+
+# Each RunConfig field with a plain default is a key, parsed as the type of
+# that default; ``out`` (None) and ``family_values`` (split later) as text.
+_SCALAR_KEYS = {f.name: type(f.default) if isinstance(f.default, (int, float))
+                else str for f in fields(RunConfig) if f.default is not MISSING}
 
 
 def _parse_value(caster: type, key: str, raw: str, where: str):
@@ -381,6 +369,7 @@ _RUNNERS = {
     "rigidity": _run_rigidity,
     "sweep": _run_sweep,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(cfg: RunConfig) -> int:

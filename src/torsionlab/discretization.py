@@ -217,15 +217,20 @@ class Grid:
         return self.ns * self.ntheta
 
 
-def build_grid(profile: WarpingProfile, domain: StarDomain, ns: int,
-               ntheta: int) -> Grid:
-    """Staggered polar grid: s_j = (j - 1/2)/ns, theta_i = 2 pi i / ntheta."""
+def _require_grid_size(ns: int, ntheta: int) -> None:
+    """Raise ``ValueError`` unless ns >= 8 and ntheta is even and >= 16."""
     if ns < 8:
         raise ValueError(f"ns must be at least 8, got {ns}")
     if ntheta < 16:
         raise ValueError(f"ntheta must be at least 16, got {ntheta}")
     if ntheta % 2:
         raise ValueError(f"ntheta must be even for the antipodal pole coupling, got {ntheta}")
+
+
+def build_grid(profile: WarpingProfile, domain: StarDomain, ns: int,
+               ntheta: int) -> Grid:
+    """Staggered polar grid: s_j = (j - 1/2)/ns, theta_i = 2 pi i / ntheta."""
+    _require_grid_size(ns, ntheta)
     if domain.max_radius >= profile.r_max:
         raise ValueError(
             f"domain radius {domain.max_radius:.6g} reaches the profile bound "
@@ -321,8 +326,9 @@ def assemble(grid: Grid) -> LinearSystem:
     the last ring each outer arm w is folded through the quadratic Dirichlet
     ghost at s = 1 + ds/2, u_ghost = u_{last-1}/3 - 2 u_last: it adds -2 w
     to the arm with dj = 0, w/3 to the arm with dj = -1, and becomes 0.
-    With Ns >= 8 and Ntheta >= 16 the nine slots of a row have distinct
-    columns and become the CSR row as they stand, less their exact zeros.
+    On every grid ``_require_grid_size`` admits, the nine slots of a row
+    have distinct columns and become the CSR row as they stand, less their
+    exact zeros.
     A weight that is not finite (the metric over- or underflows at radii
     below about 1e-153) raises ``SolverConvergenceError``.
     """

@@ -78,7 +78,6 @@ class IdentityRecord:
 @dataclass(frozen=True)
 class IdentityReport:
     records: tuple
-    tolerance: float
     neumann_cv: float             # c_std / |c_mean|, decides constant-Neumann applicability
 
     @property
@@ -243,8 +242,7 @@ def identity_report(catalog: FunctionalCatalog, tolerance: float) -> IdentityRep
                 catalog.bw_lhs, catalog.bw_rhs_curvature,
                 max(abs(catalog.bw_lhs), abs(catalog.bw_rhs_curvature)))
 
-    return IdentityReport(records=tuple(records), tolerance=float(tolerance),
-                          neumann_cv=cv)
+    return IdentityReport(records=tuple(records), neumann_cv=cv)
 
 
 def sphere_reduction_check(catalog: FunctionalCatalog, profile) -> float:

@@ -25,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "PROFILE_KINDS",
     "WarpingProfile",
     "RadialJet",
     "make_profile",
@@ -39,8 +38,6 @@ __all__ = [
     "sphere_area",
     "QuadratureError",
 ]
-
-PROFILE_KINDS = ("euclidean", "spherical", "hyperbolic", "custom")
 
 # Relative tolerance of the check on the primitive H of a custom profile:
 # the 24- and 32-node rules must agree to this share of the integral of |h|.
@@ -199,25 +196,26 @@ def custom_profile(h: Callable, h_dot: Callable, h_ddot: Callable,
                    r_max: float) -> WarpingProfile:
     """Wrap user-supplied h, h', h'' into a profile.
 
-    The primitive H is not requested from the caller; it is computed from h
-    by the 24-node Gauss-Legendre rule on [0, r], which keeps H consistent
-    with h by construction.  The 32-node rule checks every radius: the two
-    must agree to 1e-12 of the integral of |h| on [0, r], or H raises
-    ``QuadratureError``.  h need only accept floats: H calls it per node.
+    Each callable need only map a float to a float: the profile applies it
+    elementwise (``np.vectorize``).  The primitive H is not requested from
+    the caller; it is computed from h by the 24-node Gauss-Legendre rule on
+    [0, r], which keeps H consistent with h by construction.  The 32-node
+    rule checks every radius: the two must agree to 1e-12 of the integral
+    of |h| on [0, r], or H raises ``QuadratureError``.
     """
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be a positive finite number, got {r_max!r}")
+    h, h_dot, h_ddot = (np.vectorize(f, otypes=[float]) for f in (h, h_dot, h_ddot))
     h0 = float(h(0.0))
     if abs(h0) > 1e-12:
         raise ValueError(f"warping function must vanish at the pole, h(0) = {h0}")
-    h_at = np.vectorize(h, otypes=[float])
 
     def primitive(r):
         rr = np.asarray(r, dtype=float)
         nodes, weights = _unit_rule(_NODES)
-        value = rr * (h_at(rr[..., None] * nodes) @ weights)
+        value = rr * (h(rr[..., None] * nodes) @ weights)
         nodes, weights = _unit_rule(_CHECK_NODES)
-        check = h_at(rr[..., None] * nodes)
+        check = h(rr[..., None] * nodes)
         error = np.abs(value - rr * (check @ weights))
         scale = np.abs(rr) * (np.abs(check) @ weights)
         failed = error > _PRIMITIVE_REL_TOL * scale

@@ -27,6 +27,7 @@ from .discretization import (
     DiscreteField,
     SolverConvergenceError,
     StarDomain,
+    _require_grid_size,
     neumann_trace,
     neumann_trace_jacobian,
     solve_torsion,
@@ -181,25 +182,21 @@ class OptimizationTrace:
 
 def _pack(domain: StarDomain, modes: int) -> np.ndarray:
     """(r0, a_1..a_K, b_1..b_K), K = ``modes``, of the domain rotated to b_1 = 0."""
+    # Gauge: rotations of a shape are equivalent, so rotate b_1 away and
+    # optimize with the first sine coefficient pinned at zero.
+    a1, b1 = (coeffs[0] if coeffs else 0.0
+              for coeffs in (domain.cos_coeffs, domain.sin_coeffs))
+    if b1:
+        domain = domain.rotated(math.atan2(b1, a1))
     a = np.zeros(modes)
     b = np.zeros(modes)
     a[: len(domain.cos_coeffs)] = domain.cos_coeffs[:modes]
     b[: len(domain.sin_coeffs)] = domain.sin_coeffs[:modes]
-    # Gauge: rotations of a shape are equivalent, so rotate b_1 away and
-    # optimize with the first sine coefficient pinned at zero.
-    if abs(b[0]) > 0.0:
-        phase = math.atan2(b[0], a[0])
-        rotated = domain.rotated(phase)
-        a[: len(rotated.cos_coeffs)] = rotated.cos_coeffs[:modes]
-        b[: len(rotated.sin_coeffs)] = rotated.sin_coeffs[:modes]
     return np.concatenate([[domain.r0], a, [0.0], b[1:]])
 
 
-class _Stop(Exception):
-    """Ends the least-squares run from inside the residual function.
-
-    Its one argument is the run's status.
-    """
+class _TargetReached(Exception):
+    """Ends the least-squares run from inside the residual function."""
 
 
 def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
@@ -214,20 +211,20 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
     last solved shape.  r0 stays at the start's value: every pole-centred
     ball is rigid, so a J = 0 shape stays reachable, and a free r0 drifts to
     the flat limit where off-centre caps are nearly rigid too.  Every call
-    of ``neumann_deviation`` (one factorization) counts as an evaluation,
-    and ``evaluations`` never exceeds ``budget``; a Jacobian asked for at
-    any other shape than the last solved one costs an evaluation too.
-    Invalid trial shapes get non-finite residuals, which shrink the trust
-    region.
+    of ``neumann_deviation`` (one factorization) counts as an evaluation;
+    least_squares runs with ``max_nfev = budget`` and counts every residual
+    call, so ``evaluations`` never exceeds ``budget``.  Invalid trial shapes
+    get non-finite residuals, which shrink the trust region.
     The run ends at the first evaluation with J <= ``target_j``, when the
     budget is spent (the best iterate seen is returned with
     ``converged=False``), or when least_squares stops on its own
     tolerances.  A start that cannot be solved raises
     ``NoFeasibleShapeError``.  ``modes`` must lie in 1..ntheta // 2, since
     a higher harmonic aliases on the grid's angles, and ``budget`` must be
-    at least 1; either out of range, or a start with a nonzero harmonic
-    above ``modes``, raises ``ValueError``.
+    at least 1; either out of range, a grid size ``build_grid`` refuses, or
+    a start with a nonzero harmonic above ``modes``, raises ``ValueError``.
     """
+    _require_grid_size(ns, ntheta)
     if not (isinstance(modes, (int, np.integer)) and 1 <= modes <= ntheta // 2):
         raise ValueError(f"modes must be an integer in 1..{ntheta // 2}, got {modes!r}")
     if any(initial.cos_coeffs[modes:] + initial.sin_coeffs[modes:]):
@@ -245,8 +242,6 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
 
     def evaluate(x: np.ndarray):
         nonlocal evaluations, best_x, best_j, best_domain, last
-        if evaluations >= budget:
-            raise _Stop("budget exhausted")
         evaluations += 1
         shape[columns] = x
         try:
@@ -264,7 +259,7 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
             rows.append(TraceRow(len(rows), evaluations, obj.j, domain.r0,
                                  domain.cos_coeffs, domain.sin_coeffs, step))
         if obj.j <= target_j:
-            raise _Stop("target reached")
+            raise _TargetReached
         last = (x.copy(), obj)
         return obj
 
@@ -273,9 +268,11 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
         return np.full(ntheta, math.nan) if obj is None else obj.residuals
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        # trf asks at the shape it has just evaluated and accepted.
-        obj = last[1] if np.array_equal(x, last[0]) else evaluate(x)
-        return obj.jacobian(columns)
+        # trf asks only at the shape it has just evaluated and accepted.
+        if not np.array_equal(x, last[0]):
+            raise RuntimeError("least_squares asked for a Jacobian away from "
+                               "the last solved shape")
+        return last[1].jacobian(columns)
 
     # Imported here: scipy.optimize loads scipy.special, a third of the
     # start-up of every command, and only this descent uses it.
@@ -286,8 +283,8 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
         # Status 0 is trf's own evaluation cap; 1-4 are its tolerance tests,
         # reported under the frozen CLI status name "simplex collapsed".
         status = "simplex collapsed" if result.status > 0 else "budget exhausted"
-    except _Stop as stop:
-        status, = stop.args
+    except _TargetReached:
+        status = "target reached"
     return OptimizationTrace(
         rows=tuple(rows), best_domain=best_domain,
         best_j=best_j, evaluations=evaluations,
@@ -309,8 +306,10 @@ def sweep(family, profile: WarpingProfile, ns: int, ntheta: int,
     """Evaluate J over a parametrized family of domains.
 
     Rows come back in input order.  A solver failure on one member is
-    recorded in its ``status`` and the sweep continues.
+    recorded in its ``status`` and the sweep continues; a grid size
+    ``build_grid`` refuses raises ``ValueError`` before any solve.
     """
+    _require_grid_size(ns, ntheta)
     table = []
     for parameter, domain in family:
         try:

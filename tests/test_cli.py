@@ -71,6 +71,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="r_max"):
             parse_config("command=radial\ngeometry=spherical\nR0=2.0")
 
+    def test_profile_bound_elsewhere_names_no_hemisphere(self):
+        with pytest.raises(ConfigError, match=r"r_max = 50$"):
+            parse_config("command=solve\ngeometry=hyperbolic\nR0=50")
+        with pytest.raises(ConfigError, match=r"\(hemisphere cap\)$"):
+            parse_config("command=solve\ngeometry=spherical\nR0=1.6")
+
     def test_odd_ntheta_rejected(self):
         with pytest.raises(ConfigError, match="even"):
             parse_config("command=solve\nNtheta=15")

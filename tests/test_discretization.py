@@ -18,10 +18,12 @@ from torsionlab import (
     StarDomain,
     assemble,
     build_grid,
+    custom_profile,
     gradient_field,
     integrate,
     make_profile,
     neumann_trace,
+    neumann_trace_jacobian,
     offset_disk,
     scalar_gradient,
     solve,
@@ -603,6 +605,24 @@ class TestNeumannTrace:
         trace, _ = neumann_trace(field)
         spread = (np.max(trace) - np.min(trace)) / np.mean(trace)
         assert spread < 1e-3
+
+
+class TestFloatOnlyProfile:
+    """A custom profile built on ``math`` functions, which take floats only."""
+
+    SINE = custom_profile(math.sin, math.cos, lambda r: -math.sin(r), math.pi / 2)
+
+    @pytest.mark.parametrize("domain", [StarDomain.ball(0.7),
+                                        StarDomain(0.7, (0.0, 0.1), (0.0, 0.05))],
+                             ids=["ball", "flower"])
+    def test_solves_as_the_spherical_profile(self, domain):
+        field = solve_torsion(self.SINE, domain, 16, 32)
+        want = solve_torsion(SPHERE, domain, 16, 32)
+        assert np.allclose(field.values, want.values, rtol=1e-14, atol=0.0)
+        for got, ref in zip(neumann_trace_jacobian(field),
+                            neumann_trace_jacobian(want)):
+            assert got.shape == (1 + 2 * domain.modes, 32)
+            assert np.allclose(got, ref, rtol=0.0, atol=1e-14 * np.max(np.abs(ref)))
 
 
 class TestIntegrate:

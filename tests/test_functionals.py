@@ -228,6 +228,14 @@ class TestIdentityReport:
             assert bound.rel_residual == pytest.approx(share / (1.0 + share), rel=1e-12)
             assert (defect.verdict, bound.verdict) == (want, want)
 
+    def test_zero_mean_trace_leaves_perimeter_balance_not_applicable(
+            self, flower_field):
+        # n / c_mean has no value at c_mean = 0; the row's right side is inf.
+        cat = dataclasses.replace(compute_catalog(flower_field), c_mean=0.0)
+        rows = {r.label: r for r in identity_report(cat, 1e-2)}
+        assert rows["perimeter_balance"].rhs == math.inf
+        assert rows["perimeter_balance"].verdict == "not_applicable"
+
     def test_tolerance_validation(self, ball_field):
         with pytest.raises(ValueError):
             identity_report(compute_catalog(ball_field), 0.0)

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import torsionlab.rigidity as rigidity
 from torsionlab import (
@@ -142,6 +143,11 @@ class TestSweep:
         assert all(row.j < 1e-6 for row in rows)
         assert all(row.status == "ok" for row in rows)
 
+    def test_grid_size_is_an_argument_error(self):
+        for ns, ntheta in ((4, 32), (16, 33)):
+            with pytest.raises(ValueError, match="ns must|ntheta must"):
+                sweep(ball_family([0.3]), SPHERE, ns, ntheta)
+
     def test_failures_recorded_and_sweep_continues(self):
         family = [(0.4, StarDomain.ball(0.4)),
                   (1.6, StarDomain.ball(1.6)),      # exceeds the hemisphere
@@ -208,7 +214,7 @@ class TestOptimizeShape:
         assert trace.best_j == trace.rows[-1].j < trace.rows[0].j
         assert not trace.converged
         assert trace.status == "budget exhausted"
-        assert trace.evaluations <= 51
+        assert trace.evaluations <= 50
         assert math.isfinite(trace.best_j)
         assert isinstance(trace.best_domain, StarDomain)
 
@@ -223,6 +229,25 @@ class TestOptimizeShape:
         with pytest.raises(ValueError, match="harmonic above modes"):
             optimize_shape(StarDomain(0.5, (0.0, 0.0, 0.1)), 1, SPHERE,
                            budget=100, ns=16, ntheta=32)
+        # A grid size is checked before any solve, so it is not reported as
+        # an infeasible start.
+        for ns, ntheta in ((4, 32), (16, 33)):
+            with pytest.raises(ValueError, match="ns must|ntheta must"):
+                optimize_shape(StarDomain(0.5, (0.0, 0.1)), 2, SPHERE,
+                               budget=50, ns=ns, ntheta=ntheta)
+
+    def test_jacobian_away_from_the_last_solved_shape_is_refused(self,
+                                                                 monkeypatch):
+        # trf asks for a Jacobian only at the shape it has just accepted;
+        # a solver that asked elsewhere would break that, not cost a solve.
+        def fake_least_squares(fun, x0, jac, **kwargs):
+            fun(x0)
+            jac(x0 + 0.01)
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", fake_least_squares)
+        with pytest.raises(RuntimeError, match="last solved shape"):
+            optimize_shape(StarDomain(math.pi / 4, (0.0, 0.1)), 2, SPHERE,
+                           budget=50, ns=16, ntheta=32)
 
     def test_infeasible_start_is_not_an_argument_error(self):
         # The start reaches past the equator, so its solve fails before the

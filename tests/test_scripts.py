@@ -4,8 +4,9 @@
 exit 0 without a traceback; an argument the library rejects must end in an
 argparse usage error (exit 2), run in-process through ``runpy`` because it
 never reaches a solve.  ``cli_digests.py`` runs in-process too and must
-digest all of its runs with exit 0.  Each ``*.cfg`` must parse to the
-study's inputs and run through ``cli.main`` at a tiny grid.
+digest all of its runs with exit 0, to the lines of ``cli_digests.txt``
+on the numpy and SciPy builds named at its head.  Each ``*.cfg`` must
+parse to the study's inputs and run through ``cli.main`` at a tiny grid.
 """
 
 import math
@@ -16,12 +17,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from torsionlab.cli import RunConfig, main, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+DIGESTS = Path(__file__).with_name("cli_digests.txt")
 
 
 @pytest.mark.parametrize("script,args", [
@@ -63,6 +67,14 @@ def test_cli_digests_cover_every_run(monkeypatch, capsys):
     assert len({line.split()[0] for line in lines}) == 83
     for line in lines:
         assert re.fullmatch(r"\S+ 0 [0-9a-f]{16}", line), line
+    # The frozen bytes: the reference is headed by the builds it was made on,
+    # since the digits of a solve depend on numpy, SciPy and their LAPACK.
+    reference = DIGESTS.read_text().splitlines()
+    made_on = dict(line[2:].split() for line in reference if line.startswith("# "))
+    here = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if made_on != here:
+        pytest.skip(f"{DIGESTS.name} was made on {made_on}, this build is {here}")
+    assert lines == [line for line in reference if not line.startswith("# ")]
 
 
 CONTRAST = dict(command="sweep", family="offset",
