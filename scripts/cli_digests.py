@@ -2,11 +2,12 @@
 """Digest the CLI output of a fixed set of runs.
 
 Prints one line ``<run> <exit code> <sha256[:16]>`` per run, the digest
-being of the run's stdout.  The runs are solve, verify, radial (at n = 2,
-3 and 5) and sweep in every geometry, three rigidity descents, a sweep
-whose offsets include -0.0 and 0, a euclidean radial at R0 = 5, n = 5 and
-verify at R0 = 40, and the run configs in this directory, each in both
-output formats.  The last lines,
+being of the run's stdout.  The runs are solve (at 32x64, and on a 64x128
+ball, the grid of the benchmark's ``ball_solve``), verify, radial (at
+n = 2, 3 and 5) and sweep in every geometry, three rigidity descents, a
+sweep whose offsets include -0.0 and 0, a euclidean radial at R0 = 5,
+n = 5 and verify at R0 = 40, and the run configs in this directory, each
+in both output formats.  The last lines,
 ``pointwise/<geometry>/n<k> 0 <sha256[:16]>``, digest the ``repr``s of the
 three pointwise residuals at 50 midpoint radii of R0 = 0.7 instead, for
 n = 2, 3 and 5; they run no CLI, so their code is always 0.
@@ -42,6 +43,7 @@ STAR = ["--a1", "0.05", "--b2", "0.1", "--a3", "-0.04"]
 GEOMETRY_RUNS = {
     "solve": ["--command", "solve", *GRID],
     "solve-star": ["--command", "solve", *GRID, *STAR],
+    "solve-64x128": ["--command", "solve", "--Ns", "64", "--Ntheta", "128"],
     "verify": ["--command", "verify", *GRID],
     "verify-star": ["--command", "verify", *GRID, *STAR],
     "radial": ["--command", "radial", "--n", "3"],

@@ -229,19 +229,46 @@ def _cell_spec(kind: type) -> str:
 
 _encode = json.JSONEncoder(allow_nan=True).encode
 
+class _Repeat:
+    """One cell value written ``count`` times, as a column or a part of one."""
 
-def _column_cells(column, cell) -> list:
+    __slots__ = ("value", "count")
+
+    def __init__(self, value, count: int):
+        self.value, self.count = value, count
+
+
+def _column_cells(name: str, column, cell) -> list:
     """Cells of one column; ``cell(kind)`` formats a value of type ``kind``.
 
-    Each distinct value is formatted once.  A float64 array is formatted
-    once per distinct bit pattern, so 0.0 and -0.0 stay apart.  A list is
-    split into runs of one cell type: a run of ints, strings or None is
-    formatted once per distinct value, any other run (floats, numpy scalars)
-    cell by cell, since -0.0 == 0.0 and NaN != NaN would defeat a memo.
+    Each distinct value is formatted once.  A 1-d float64 array is
+    formatted once per distinct bit pattern, so 0.0 and -0.0 stay apart,
+    and a 1-d integer array once per distinct value; an array of any other
+    dtype or shape raises ``TypeError``.  A ``_Repeat`` is formatted once,
+    and a tuple is the concatenation of its parts.  A list is split into
+    runs of one cell type: a run of ints, strings or None is formatted once
+    per distinct value, any other run (floats, numpy scalars) cell by cell,
+    since -0.0 == 0.0 and NaN != NaN would defeat a memo.
     """
+    if isinstance(column, _Repeat):
+        return [cell(type(column.value))(column.value)] * column.count
+    if isinstance(column, tuple):
+        cells = []
+        for part in column:
+            cells += _column_cells(name, part, cell)
+        return cells
     if isinstance(column, np.ndarray):
-        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-        text = list(map(cell(float), bits.view(np.float64).tolist()))
+        if column.ndim == 1 and column.dtype == np.float64:
+            kind, keys = float, column.view(np.uint64)
+        elif column.ndim == 1 and column.dtype.kind in "iu":
+            kind, keys = int, column
+        else:
+            raise TypeError(f"column {name!r} is a {column.ndim}-d {column.dtype} "
+                            f"array; the writer takes 1-d float64 or integer arrays")
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        if kind is float:
+            distinct = distinct.view(np.float64)
+        text = list(map(cell(kind), distinct.tolist()))
         return np.array(text, dtype=object)[inverse].tolist()
     cells = []
     stop = 0
@@ -260,12 +287,12 @@ def _column_cells(column, cell) -> list:
 def _emit(table: dict, cfg: RunConfig) -> None:
     """Write a table, column name -> column, as CSV or JSON.
 
-    Every column has one cell per row; a column is a list of cells or a 1-d
-    float64 array.  Both formats are put together column by column; JSON
-    has the layout of ``json.dumps(rows, indent=2)``.
+    Every column has one cell per row.  A column is a list of cells, a 1-d
+    float64 or integer array, a ``_Repeat`` of one cell, or a tuple of such
+    parts written one after another.  Both formats are put together column
+    by column; JSON has the layout of ``json.dumps(rows, indent=2)``.
     """
     width = len(table)
-    cells = [None] * (len(next(iter(table.values()))) * width)
     for k, (name, column) in enumerate(table.items()):
         if cfg.format == "csv":
             end = "," if k < width - 1 else "\n"
@@ -274,7 +301,10 @@ def _emit(table: dict, cfg: RunConfig) -> None:
             head = ("  {\n" if k == 0 else "") + f"    {_encode(name)}: "
             end = ",\n" if k < width - 1 else "\n  },\n"
             cell = lambda kind: lambda value: head + _encode(value) + end
-        cells[k::width] = _column_cells(column, cell)
+        column_cells = _column_cells(name, column, cell)
+        if k == 0:
+            cells = [None] * (len(column_cells) * width)
+        cells[k::width] = column_cells
     if cfg.format == "json":
         payload = "[\n" + "".join(cells)[:-2] + "\n]\n" if cells else "[]\n"
     else:
@@ -314,13 +344,13 @@ def _run_solve(cfg: RunConfig) -> int:
     values, weights = neumann_trace(field_)
     ns, nt = grid.ns, grid.ntheta
     # Node rows ring by ring, then one Neumann row per boundary angle.
-    _emit({"record": ["node"] * grid.size + ["neumann"] * nt,
-           "j": np.repeat(np.arange(ns), nt).tolist() + [None] * nt,
-           "i": list(range(nt)) * (ns + 1),
+    _emit({"record": (_Repeat("node", grid.size), _Repeat("neumann", nt)),
+           "j": (np.repeat(np.arange(ns), nt), _Repeat(None, nt)),
+           "i": np.tile(np.arange(nt), ns + 1),
            "theta": np.tile(grid.theta, ns + 1),
            "r": np.concatenate([grid.r.ravel(), grid.rho]),
            "value": np.concatenate([field_.values.ravel(), values]),
-           "weight": [None] * grid.size + weights.tolist()}, cfg)
+           "weight": (_Repeat(None, grid.size), weights)}, cfg)
     return 0
 
 

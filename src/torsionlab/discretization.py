@@ -16,9 +16,10 @@ r = s rho(theta).  Design points:
   * the Dirichlet ring s = 1 is eliminated by a ghost value at s = 1 + ds/2
     extrapolated quadratically through u(1) = 0, which keeps second order
     up to the boundary;
-  * assembly fills one (3, 3, Ns, Ntheta) array of arm weights, folds the
-    ghost into the last ring and points the pole arms at antipodal columns,
-    so the CSR matrix is read off it with nine slots per row.
+  * assembly fills nine row-order slots of arm weights and columns per
+    node, (Ns, Ntheta, 3, 3) arrays written through their (3, 3, Ns,
+    Ntheta) views, folds the ghost into the last ring and points the pole
+    arms at antipodal columns, so the slots are the CSR rows in place.
 
 The resulting system is nonsymmetric.  On a disk its coefficients do not
 depend on theta, so an FFT in theta splits it into one tridiagonal system in
@@ -322,19 +323,22 @@ def assemble(grid: Grid) -> LinearSystem:
     """Sparse operator and right-hand side for Lap u = 2 h_dot on ``grid.domain``.
 
     The arm from node (j, i) to (j + dj, i + di) has the weight and the flat
-    column at index [1 + dj, 1 + di, j, i] of ``weights`` and ``cols``.  On
-    the last ring each outer arm w is folded through the quadratic Dirichlet
-    ghost at s = 1 + ds/2, u_ghost = u_{last-1}/3 - 2 u_last: it adds -2 w
-    to the arm with dj = 0, w/3 to the arm with dj = -1, and becomes 0.
-    On every grid ``_require_grid_size`` admits, the nine slots of a row
-    have distinct columns and become the CSR row as they stand, less their
-    exact zeros.
+    column at index [j, i, 1 + dj, 1 + di] of ``weight_slots`` and
+    ``col_slots``, which are filled through their transposed views
+    ``weights`` and ``cols`` at [1 + dj, 1 + di, j, i].  On the last ring
+    each outer arm w is folded through the quadratic Dirichlet ghost at
+    s = 1 + ds/2, u_ghost = u_{last-1}/3 - 2 u_last: it adds -2 w to the
+    arm with dj = 0, w/3 to the arm with dj = -1, and becomes 0.  On every
+    grid ``_require_grid_size`` admits, the nine slots of node (j, i) have
+    distinct columns and become CSR row j * ntheta + i as they lie in
+    memory, less their exact zeros.
     A weight that is not finite (the metric over- or underflows at radii
     below about 1e-153) raises ``SolverConvergenceError``.
     """
     ns, nt = grid.ns, grid.ntheta
     ds, dt = grid.ds, grid.dtheta
-    weights = np.empty((3, 3, ns, nt))
+    weight_slots = np.empty((ns, nt, 3, 3))
+    weights = weight_slots.transpose(2, 3, 0, 1)
     with np.errstate(all="ignore"):
         A, B, C, D = _mapped_coefficients(grid.s[:, None], grid.rho, grid.drho,
                                           grid.d2rho, grid.h, grid.h_dot)
@@ -349,14 +353,19 @@ def assemble(grid: Grid) -> LinearSystem:
         weights[1, :, -1] += -2.0 * outer
         weights[0, :, -1] += outer / 3.0
         weights[2, :, -1] = 0.0
-    if not np.isfinite(weights).all():
+    if not np.isfinite(weight_slots).all():
         raise SolverConvergenceError(
             "singular metric: the stencil weights are not finite", residual=math.inf)
 
     step = np.arange(-1, 2)
     ring = np.arange(ns)[:, None] + step[:, None, None]
     angle = (np.arange(nt) + step[:, None]) % nt
-    cols = ring[:, None] * nt + angle[None, :, None, :]
+    # CSR stores int32 indices while its 9 * size slots fit in int32;
+    # columns made in the dtype it keeps are taken without a copy.
+    index = np.int32 if 9 * grid.size <= np.iinfo(np.int32).max else np.int64
+    col_slots = np.empty((ns, nt, 3, 3), dtype=index)
+    cols = col_slots.transpose(2, 3, 0, 1)
+    np.add(ring[:, None] * nt, angle[None, :, None, :], out=cols)
     # Across the pole: (s_1 - ds, theta) is (s_1, theta + pi).
     cols[0, :, 0] = (angle + nt // 2) % nt
     # The folded outer arms weigh zero; any column inside the grid will do.
@@ -364,8 +373,7 @@ def assemble(grid: Grid) -> LinearSystem:
 
     size = grid.size
     matrix = sp.csr_matrix(
-        (weights.transpose(2, 3, 0, 1).ravel(), cols.transpose(2, 3, 0, 1).ravel(),
-         np.arange(0, 9 * size + 1, 9)),
+        (weight_slots.ravel(), col_slots.ravel(), np.arange(0, 9 * size + 1, 9)),
         shape=(size, size),
     )
     # SuperLU's ordering reads the stored pattern: keep it the true stencil.

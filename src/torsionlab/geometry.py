@@ -192,20 +192,32 @@ def make_profile(kind: str, r_max: float) -> WarpingProfile:
     raise ValueError(f"unknown profile kind {kind!r}; use custom_profile for custom h")
 
 
+def _float_or_elementwise(f: Callable) -> Callable:
+    """``f`` on a float, ``np.vectorize(f)`` on anything else."""
+    elementwise = np.vectorize(f, otypes=[float])
+
+    def apply(r):
+        return float(f(float(r))) if isinstance(r, float) else elementwise(r)
+
+    return apply
+
+
 def custom_profile(h: Callable, h_dot: Callable, h_ddot: Callable,
                    r_max: float) -> WarpingProfile:
     """Wrap user-supplied h, h', h'' into a profile.
 
-    Each callable need only map a float to a float: the profile applies it
-    elementwise (``np.vectorize``).  The primitive H is not requested from
-    the caller; it is computed from h by the 24-node Gauss-Legendre rule on
-    [0, r], which keeps H consistent with h by construction.  The 32-node
-    rule checks every radius: the two must agree to 1e-12 of the integral
-    of |h| on [0, r], or H raises ``QuadratureError``.
+    Each callable need only map a float to a float: the profile calls it
+    directly on a float radius (np.float64 included) and returns a float,
+    and applies it elementwise (``np.vectorize``) to anything else.  The
+    primitive H is not requested from the caller; it is computed from h by
+    the 24-node Gauss-Legendre rule on [0, r], which keeps H consistent with
+    h by construction.  The 32-node rule checks every radius: the two must
+    agree to 1e-12 of the integral of |h| on [0, r], or H raises
+    ``QuadratureError``.
     """
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be a positive finite number, got {r_max!r}")
-    h, h_dot, h_ddot = (np.vectorize(f, otypes=[float]) for f in (h, h_dot, h_ddot))
+    h, h_dot, h_ddot = map(_float_or_elementwise, (h, h_dot, h_ddot))
     h0 = float(h(0.0))
     if abs(h0) > 1e-12:
         raise ValueError(f"warping function must vanish at the pole, h(0) = {h0}")

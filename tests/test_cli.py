@@ -426,9 +426,27 @@ def reference_payload(dict_rows, columns, fmt):
                       indent=2, allow_nan=True) + "\n"
 
 
+def column_parts(column):
+    """The parts of a column: itself, or the parts of each part of a tuple."""
+    if isinstance(column, tuple):
+        return [leaf for part in column for leaf in column_parts(part)]
+    return [column]
+
+
+def column_values(column):
+    """The cells of a column in row order; array cells become Python values."""
+    cells = []
+    for part in column_parts(column):
+        if isinstance(part, cli._Repeat):
+            cells += [part.value] * part.count
+        else:
+            cells += part.tolist() if isinstance(part, np.ndarray) else part
+    return cells
+
+
 def table_rows(table):
-    """One dict per row of a column table; array cells become Python floats."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+    """One dict per row of a column table."""
+    columns = list(map(column_values, table.values()))
     assert len({len(c) for c in columns}) == 1
     return [dict(zip(table, row)) for row in zip(*columns)]
 
@@ -476,10 +494,14 @@ def capture_tables(monkeypatch):
     return emitted
 
 
+def is_part(part):
+    return (isinstance(part, (list, cli._Repeat))
+            or (isinstance(part, np.ndarray) and part.ndim == 1
+                and (part.dtype == np.float64 or part.dtype.kind in "iu")))
+
+
 def is_column(column):
-    return isinstance(column, list) or (isinstance(column, np.ndarray)
-                                        and column.dtype == np.float64
-                                        and column.ndim == 1)
+    return all(map(is_part, column_parts(column)))
 
 
 SIGNED_ZEROS = [0.0, -0.0, -0.0, 0.0]
@@ -499,10 +521,14 @@ class TestWriterBytes:
         columns = ["record", "j", "i", "theta", "r", "value", "weight"]
         want = reference_payload(reference_solve_rows(cfg), columns, fmt)
         assert read_out(out) == want
-        # The grid's float columns reach the writer as arrays, not row tuples.
+        # The grid's columns reach the writer as arrays and repeats, not as
+        # row tuples or per-cell lists.
         (table,) = emitted
         assert list(table) == columns
         assert all(isinstance(table[c], np.ndarray) for c in ("theta", "r", "value"))
+        assert all(map(is_column, table.values()))
+        assert not any(isinstance(part, list) for column in table.values()
+                       for part in column_parts(column))
         assert table_rows(table) == reference_solve_rows(cfg)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -515,7 +541,7 @@ class TestWriterBytes:
         assert main([path, "--format", fmt, "--out", out]) in (0, 1)
         (table,) = emitted
         assert all(map(is_column, table.values()))
-        assert len({len(column) for column in table.values()}) == 1
+        assert len({len(column_values(column)) for column in table.values()}) == 1
         want = reference_payload(table_rows(table), list(table), fmt)
         assert read_out(out) == want
 
@@ -564,6 +590,43 @@ class TestWriterBytes:
         assert csv_cells([10 ** 17, 1e17]) == ["100000000000000000", "1e+17"]
         assert csv_cells([1, True, 1.0, False, 0]) == ["1", "1", "1", "0", "0"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_part_columns_match_reference(self, tmp_path, fmt):
+        # Integer arrays of several dtypes, repeats of cells that compare
+        # equal but print differently, and tuples of parts, empty ones too.
+        table = {"ints": np.array([10 ** 17, -7, 0, 10 ** 17, -2 ** 63, 2 ** 63 - 1]),
+                 "small": np.array([1, -1, 1, 0, 127, -128], dtype=np.int8),
+                 "unsigned": np.array([0, 2 ** 64 - 1, 5, 5, 0, 1], dtype=np.uint64),
+                 "repeat": cli._Repeat(-0.0, 6),
+                 "parts": (cli._Repeat(1, 2), cli._Repeat(True, 1), cli._Repeat(1.0, 1),
+                           (), cli._Repeat("x,y", 0), np.array([2, 3])),
+                 "nested": ((cli._Repeat(None, 2), np.array([-0.0, math.nan])),
+                            [1e17, 10 ** 17])}
+        want = reference_payload(table_rows(table), list(table), fmt)
+        assert emitted_payload(tmp_path, table, fmt) == want
+        assert csv_cells(np.array([1, -2])) == ["1", "-2"]
+        assert csv_cells(np.array([2 ** 64 - 1], dtype=np.uint64)) == ["18446744073709551615"]
+        assert csv_cells(cli._Repeat(None, 3)) == ["", "", ""]
+        assert csv_cells((cli._Repeat(1, 1), cli._Repeat(1.0, 1))) == ["1", "1"]
+        assert csv_cells((np.array([0.0]), [-0.0])) == ["0", "-0"]
+
+    @pytest.mark.parametrize("column", [
+        np.array([0.1, 0.2], dtype=np.float32),
+        np.array([[1.0, 2.0]]),
+        np.array([True, False]),
+        np.array([1 + 2j, 3j]),
+        np.array(["a", "b"]),
+        np.array([None, 1], dtype=object),
+        np.array(2.5),
+        (cli._Repeat(None, 1), np.array([0.5], dtype=np.float16)),
+    ], ids=["float32", "2-d", "bool", "complex", "str", "object", "0-d", "part"])
+    def test_unprintable_array_is_refused(self, column, capsys):
+        # An array is never reinterpreted: the writer names the column and
+        # writes nothing.
+        with pytest.raises(TypeError, match="column 'c' "):
+            cli._emit({"a": [1, 2], "c": column}, RunConfig())
+        assert capsys.readouterr().out == ""
+
     def test_numpy_scalar_cells(self):
         # Not JSON-serializable, so CSV only.
         cells = [np.float32(0.1), np.float32(0.1), np.int64(-2), np.int64(-2),
@@ -586,6 +649,27 @@ CELL_POOL = (FLOAT_POOL + [np.float64(-0.0), np.float64(0.1)]
              + [0, 1, -7, 10 ** 17, 2 ** 70, True, False, None, "", "x,y", "pass"])
 
 
+INT_POOL = [0, 1, -1, -7, 10 ** 17, 2 ** 63 - 1, -2 ** 63]
+INT_DTYPES = [np.int64, np.int32, np.uint8, np.uint64]
+
+
+def column_part(draw, rows):
+    """One column part of ``rows`` cells, of a kind the writer takes."""
+    kind = draw(st.sampled_from(["floats", "ints", "repeat", "list"]))
+    if kind == "floats":
+        pool = st.sampled_from(FLOAT_POOL)
+        return np.array(draw(st.lists(pool, min_size=rows, max_size=rows)),
+                        dtype=np.float64)
+    if kind == "ints":
+        dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+        info = np.iinfo(dtype)
+        pool = st.sampled_from([v for v in INT_POOL if info.min <= v <= info.max])
+        return np.array(draw(st.lists(pool, min_size=rows, max_size=rows)), dtype=dtype)
+    if kind == "repeat":
+        return cli._Repeat(draw(st.sampled_from(CELL_POOL)), rows)
+    return draw(st.lists(st.sampled_from(CELL_POOL), min_size=rows, max_size=rows))
+
+
 @st.composite
 def tables(draw):
     rows = draw(st.integers(0, 12))
@@ -593,12 +677,13 @@ def tables(draw):
     table = {}
     for k in range(width):
         if draw(st.booleans()):
-            pool = st.sampled_from(FLOAT_POOL)
-            table[f"c{k}"] = np.array(draw(st.lists(pool, min_size=rows, max_size=rows)),
-                                      dtype=np.float64)
+            table[f"c{k}"] = column_part(draw, rows)
         else:
-            pool = st.sampled_from(CELL_POOL)
-            table[f"c{k}"] = draw(st.lists(pool, min_size=rows, max_size=rows))
+            # A tuple of parts, cut at sorted points, empty parts included.
+            cuts = sorted(draw(st.lists(st.integers(0, rows), max_size=3)))
+            bounds = [0, *cuts, rows]
+            table[f"c{k}"] = tuple(column_part(draw, stop - start)
+                                   for start, stop in zip(bounds, bounds[1:]))
     return table
 
 

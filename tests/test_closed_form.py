@@ -320,3 +320,22 @@ class TestCatalogQuadrature:
                                lambda r: -0.25 * r ** -1.5, 1.0)
         with pytest.raises(QuadratureError, match="24 and 32 nodes differ"):
             rough.H(0.5)
+
+    def test_custom_profile_gives_a_float_for_a_float(self):
+        # A float radius is passed to the callables directly, so the jets and
+        # validators take their float path; the values are those np.vectorize
+        # gives, and arrays still go through it.
+        profile = custom_profile(math.sin, math.cos, lambda r: -math.sin(r),
+                                 math.pi / 2)
+        for r in (0.3, np.float64(0.7), 1e-300):
+            for f, g in ((profile.h, math.sin), (profile.h_dot, math.cos)):
+                assert type(f(r)) is float
+                assert f(r) == float(np.vectorize(g, otypes=[float])(r))
+        assert type(profile.H(0.3)) is float
+        rs = np.array([0.3, 0.7])
+        assert np.array_equal(profile.h(rs), np.sin(rs))
+        for n, r in ((2, 0.3), (3, 0.3), (5, 0.65)):
+            got = bochner_residual(radial_torsion_solution(profile, n, 0.7), r)
+            want = bochner_residual(radial_torsion_solution(SPHERE, n, 0.7), r)
+            assert type(got) is float
+            assert got == pytest.approx(want, abs=1e-13)
