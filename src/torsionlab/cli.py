@@ -303,12 +303,15 @@ def _emit(table: dict, cfg: RunConfig) -> None:
             cell = lambda kind: lambda value: head + _encode(value) + end
         column_cells = _column_cells(name, column, cell)
         if k == 0:
-            cells = [None] * (len(column_cells) * width)
-        cells[k::width] = column_cells
+            # Slot 0 holds the CSV header or the opening bracket, so that
+            # one join builds the payload.
+            cells = [None] * (1 + len(column_cells) * width)
+            cells[0] = ",".join(table) + "\n" if cfg.format == "csv" else "[\n"
+        cells[1 + k::width] = column_cells
     if cfg.format == "json":
-        payload = "[\n" + "".join(cells)[:-2] + "\n]\n" if cells else "[]\n"
-    else:
-        payload = ",".join(table) + "\n" + "".join(cells)
+        # The last row closes with "}" and the bracket instead of "},".
+        cells[-1] = cells[-1][:-2] + "\n]\n" if len(cells) > 1 else "[]\n"
+    payload = "".join(cells)
     if cfg.out is None:
         sys.stdout.write(payload)
     else:

@@ -35,9 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import lapack
-from scipy.sparse.linalg import splu
 
 from .geometry import WarpingProfile
 
@@ -251,7 +248,7 @@ def build_grid(profile: WarpingProfile, domain: StarDomain, ns: int,
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    matrix: sp.csr_matrix
+    matrix: object  # scipy.sparse.csr_matrix
     rhs: np.ndarray
     grid: Grid
 
@@ -372,6 +369,8 @@ def assemble(grid: Grid) -> LinearSystem:
     cols[2, :, -1] = cols[1, :, -1]
 
     size = grid.size
+    # Imported here: scipy.sparse is most of a command's start-up; radial never assembles.
+    import scipy.sparse as sp
     matrix = sp.csr_matrix(
         (weight_slots.ravel(), col_slots.ravel(), np.arange(0, 9 * size + 1, 9)),
         shape=(size, size),
@@ -397,7 +396,7 @@ class _DiskFactor:
     ``dgttrs`` with the real and imaginary parts as 2m right-hand sides.
     """
 
-    def __init__(self, matrix: sp.csr_matrix, ntheta: int):
+    def __init__(self, matrix, ntheta: int):
         ns = matrix.shape[0] // ntheta
         first = matrix[::ntheta].tocoo()
         # Ring offset 0, 1, 2 for the rings j - 1, j, j + 1 of row ring j.
@@ -409,6 +408,8 @@ class _DiskFactor:
         # Row k * ns + j of the stack is ring j of mode k; ring 0 has no
         # inner and ring ns - 1 no outer neighbour, which decouples the modes.
         sub, diag, sup = (part.ravel() for part in symbol)
+        # Imported here: of the commands, only a disk solve uses scipy.linalg.
+        from scipy.linalg import lapack
         dl, d, du, du2, ipiv, info = lapack.dgttrf(sub[1:], diag, sup[:-1])
         if info:
             raise RuntimeError(f"disk factor is singular in row {info}")
@@ -423,6 +424,7 @@ class _DiskFactor:
         parts = np.empty((stacked.shape[0], 2 * m), order="F")
         parts[:, :m] = stacked.real
         parts[:, m:] = stacked.imag
+        from scipy.linalg import lapack  # imported here as in __init__
         x, _ = lapack.dgttrs(*self._factor, parts, overwrite_b=1)
         modes = (x[:, :m] + 1j * x[:, m:]).reshape(-1, ns, m).transpose(1, 0, 2)
         return np.fft.irfft(modes, n=nt, axis=1).reshape(rhs.shape)
@@ -482,6 +484,8 @@ def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
         if _is_disk(system.grid):
             lu = _DiskFactor(A, system.grid.ntheta)
         else:
+            # Imported here: a ball never loads scipy.sparse.linalg.
+            from scipy.sparse.linalg import splu
             lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SolverConvergenceError(str(exc), residual=math.inf) from None

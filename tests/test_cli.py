@@ -8,11 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsionlab.cli as cli
-import torsionlab.discretization as discretization
 from torsionlab import neumann_trace, solve_torsion
 from torsionlab.cli import ConfigError, RunConfig, main, parse_config, run
 
@@ -308,7 +308,7 @@ class TestOtherCommands:
         def singular(A, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(discretization, "splu", singular)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
         rc = main(["--command", "solve", "--a2", "0.1", "--Ns", "8",
                    "--Ntheta", "16"])
         captured = capsys.readouterr()

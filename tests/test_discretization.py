@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import torsionlab.discretization as discretization
 from torsionlab import (
@@ -313,7 +315,7 @@ class TestSolve:
         # after exactly one solve on the factor.
         solves = []
         exact_disk = discretization._DiskFactor
-        exact_splu = discretization.splu
+        exact_splu = scipy.sparse.linalg.splu
 
         class Counted:
             def __init__(self, factor):
@@ -325,7 +327,7 @@ class TestSolve:
 
         monkeypatch.setattr(discretization, "_DiskFactor",
                             lambda A, nt: Counted(exact_disk(1.25 * A, nt)))
-        monkeypatch.setattr(discretization, "splu",
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
                             lambda A, **kw: Counted(exact_splu(1.25 * A, **kw)))
         system = assemble(build_grid(EUCLID, domain, 8, 16))
         with pytest.raises(SolverConvergenceError) as info:
@@ -350,7 +352,7 @@ class TestSolve:
         def singular(A, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(discretization, "splu", singular)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
         with pytest.raises(SolverConvergenceError,
                            match="^Factor is exactly singular$") as info:
             solve_torsion(EUCLID, StarDomain(1.0, (0.05,), (0.0, 0.1)), 8, 16)
@@ -358,13 +360,13 @@ class TestSolve:
 
     def test_singular_disk_factor_raises_nonconvergence(self, monkeypatch):
         # dgttrf reports a zero pivot through info > 0, not by raising.
-        exact = discretization.lapack.dgttrf
+        exact = scipy.linalg.lapack.dgttrf
 
         def singular(*args):
             *factor, info = exact(*args)
             return (*factor, 5)
 
-        monkeypatch.setattr(discretization.lapack, "dgttrf", singular)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", singular)
         with pytest.raises(SolverConvergenceError,
                            match="^disk factor is singular in row 5$") as info:
             solve_torsion(EUCLID, StarDomain.ball(1.0), 8, 16)
@@ -378,7 +380,7 @@ class TestSolve:
         # A factor that completes but back-solves to NaN leaves a NaN
         # residual, which must not pass the residual check.
         exact_disk = discretization._DiskFactor
-        exact_splu = discretization.splu
+        exact_splu = scipy.sparse.linalg.splu
 
         class NaNSolve:
             def __init__(self, factor):
@@ -389,7 +391,7 @@ class TestSolve:
 
         monkeypatch.setattr(discretization, "_DiskFactor",
                             lambda A, nt: NaNSolve(exact_disk(A, nt)))
-        monkeypatch.setattr(discretization, "splu",
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
                             lambda A, **kw: NaNSolve(exact_splu(A, **kw)))
         system = assemble(build_grid(EUCLID, domain, 8, 16))
         with pytest.raises(SolverConvergenceError) as info:
@@ -453,7 +455,8 @@ class TestDiskFactor:
             A, row_scale = discretization._equilibrated(system)
             b = row_scale * system.rhs
             got = discretization._DiskFactor(A, nt).solve(b)
-            want = discretization.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+            lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            want = lu.solve(b)
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), profile.kind
 
     @pytest.mark.parametrize("ns,nt", [(16, 32), (64, 128)])
@@ -472,7 +475,7 @@ class TestDiskFactor:
     def test_selected_for_disks_only(self, monkeypatch):
         calls = {"disk": 0, "splu": 0}
         exact_disk = discretization._DiskFactor
-        exact_splu = discretization.splu
+        exact_splu = scipy.sparse.linalg.splu
 
         def disk(*args):
             calls["disk"] += 1
@@ -483,7 +486,7 @@ class TestDiskFactor:
             return exact_splu(*args, **kw)
 
         monkeypatch.setattr(discretization, "_DiskFactor", disk)
-        monkeypatch.setattr(discretization, "splu", lu)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lu)
         for domain, want in ((StarDomain.ball(1.0), {"disk": 1, "splu": 0}),
                              (StarDomain(1.0, (0.0,), ()), {"disk": 2, "splu": 0}),
                              (StarDomain(1.0, (0.0, 1e-9)), {"disk": 2, "splu": 1})):

@@ -25,9 +25,11 @@ from torsionlab import (
     make_profile,
     neumann_deviation,
     neumann_trace,
+    neumann_trace_jacobian,
     offset_disk,
     offset_family,
     optimize_shape,
+    solve_torsion,
     sweep,
 )
 
@@ -471,6 +473,33 @@ class TestDegenerateHyperbolicRadius:
                                target_j=0.0)
         assert trace.best_j < 1e-10
         assert 0.13 < trace.best_domain.cos_coeffs[1] < 0.14
+
+    def test_grid_root_converges_at_second_order(self):
+        # The grid's own sigma_2 is the a2 column of the ball's trace
+        # Jacobian projected on cos 2 theta; its secant root from
+        # arccosh 2 -/+ 0.05 is measured off arccosh 2 by -2.77e-4,
+        # -9.22e-5, -2.59e-5 and -6.84e-6 at ns = 16, 32, 64 and 128
+        # (orders 1.59, 1.83, 1.92).  Balls take the FFT disk factor.
+        def sigma_2(r0, ns):
+            field = solve_torsion(HYPER, StarDomain(r0, (0.0, 0.0)), ns, 2 * ns)
+            d_values, _ = neumann_trace_jacobian(field, [2])
+            return float(d_values[0] @ np.cos(2.0 * field.grid.theta))
+
+        errors = []
+        for ns in (16, 32, 64, 128):
+            x0, x1 = self.R_DEGENERATE - 0.05, self.R_DEGENERATE + 0.05
+            f0, f1 = sigma_2(x0, ns), sigma_2(x1, ns)
+            for _ in range(20):
+                if abs(x1 - x0) <= 1e-11:
+                    break
+                x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+                f1 = sigma_2(x1, ns)
+            assert abs(x1 - x0) <= 1e-11, ns
+            errors.append(x1 - self.R_DEGENERATE)
+        assert all(error < 0 for error in errors), errors
+        assert abs(errors[0]) < 3e-4, errors
+        orders = [math.log2(errors[k] / errors[k + 1]) for k in (1, 2)]
+        assert all(order >= 1.8 for order in orders), orders
 
     @pytest.mark.parametrize("a2", [0.15, -0.15])
     def test_above_returns_to_the_ball(self, a2):

@@ -5,8 +5,9 @@ exit 0 without a traceback; an argument the library rejects must end in an
 argparse usage error (exit 2), run in-process through ``runpy`` because it
 never reaches a solve.  ``cli_digests.py`` runs in-process too and must
 digest all of its runs with exit 0, to the lines of ``cli_digests.txt``
-on the numpy and SciPy builds named at its head.  Each ``*.cfg`` must
-parse to the study's inputs and run through ``cli.main`` at a tiny grid.
+on the numpy and SciPy builds, and the LAPACK of each, named at its head.
+Each ``*.cfg`` must parse to the study's inputs and run through
+``cli.main`` at a tiny grid.
 """
 
 import math
@@ -70,8 +71,12 @@ def test_cli_digests_cover_every_run(monkeypatch, capsys):
     # The frozen bytes: the reference is headed by the builds it was made on,
     # since the digits of a solve depend on numpy, SciPy and their LAPACK.
     reference = DIGESTS.read_text().splitlines()
-    made_on = dict(line[2:].split() for line in reference if line.startswith("# "))
+    made_on = dict(line[2:].split(maxsplit=1) for line in reference
+                   if line.startswith("# "))
     here = {"numpy": np.__version__, "scipy": scipy.__version__}
+    for module in (np, scipy):
+        build = module.__config__.CONFIG["Build Dependencies"]["lapack"]
+        here[f"{module.__name__}-lapack"] = f"{build['name']} {build['version']}"
     if made_on != here:
         pytest.skip(f"{DIGESTS.name} was made on {made_on}, this build is {here}")
     assert lines == [line for line in reference if not line.startswith("# ")]
