@@ -241,14 +241,12 @@ class _Repeat:
 def _column_cells(name: str, column, cell) -> list:
     """Cells of one column; ``cell(kind)`` formats a value of type ``kind``.
 
-    Each distinct value is formatted once.  A 1-d float64 array is
-    formatted once per distinct bit pattern, so 0.0 and -0.0 stay apart,
-    and a 1-d integer array once per distinct value; an array of any other
-    dtype or shape raises ``TypeError``.  A ``_Repeat`` is formatted once,
-    and a tuple is the concatenation of its parts.  A list is split into
-    runs of one cell type: a run of ints, strings or None is formatted once
-    per distinct value, any other run (floats, numpy scalars) cell by cell,
-    since -0.0 == 0.0 and NaN != NaN would defeat a memo.
+    A 1-d float64 array is formatted once per distinct bit pattern, so 0.0
+    and -0.0 stay apart, and a 1-d integer array once per distinct value;
+    an array of any other dtype or shape raises ``TypeError``.  A
+    ``_Repeat`` is formatted once, and a tuple is the concatenation of its
+    parts.  A list is formatted cell by cell, with one formatter per run of
+    one cell type.
     """
     if isinstance(column, _Repeat):
         return [cell(type(column.value))(column.value)] * column.count
@@ -274,13 +272,7 @@ def _column_cells(name: str, column, cell) -> list:
     stop = 0
     for kind, run in groupby(map(type, column)):
         start, stop = stop, stop + len(list(run))
-        values = column[start:stop]
-        format_ = cell(kind)
-        if kind is type(None) or issubclass(kind, (int, str)):
-            text = {value: format_(value) for value in set(values)}
-            cells += map(text.__getitem__, values)
-        else:
-            cells += map(format_, values)
+        cells += map(cell(kind), column[start:stop])
     return cells
 
 

@@ -18,8 +18,9 @@ r = s rho(theta).  Design points:
     up to the boundary;
   * assembly fills nine row-order slots of arm weights and columns per
     node, (Ns, Ntheta, 3, 3) arrays written through their (3, 3, Ns,
-    Ntheta) views, folds the ghost into the last ring and points the pole
-    arms at antipodal columns, so the slots are the CSR rows in place.
+    Ntheta) views, folds the ghost into the last ring, scales each node's
+    slots to unit max-norm and points the pole arms at antipodal columns,
+    so the slots are the rows of the equilibrated CSR matrix in place.
 
 The resulting system is nonsymmetric.  On a disk its coefficients do not
 depend on theta, so an FFT in theta splits it into one tridiagonal system in
@@ -248,8 +249,16 @@ def build_grid(profile: WarpingProfile, domain: StarDomain, ns: int,
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
+    """The row-equilibrated system of the operator M and the forcing 2 h'.
+
+    ``matrix`` is diag(row_scale) M and ``rhs`` is diag(row_scale) 2 h' at
+    the nodes, flattened; every row of ``matrix`` has unit max-norm, to
+    rounding.
+    """
+
     matrix: object  # scipy.sparse.csr_matrix
     rhs: np.ndarray
+    row_scale: np.ndarray  # (size,) 1 / max |w| of each row of M
     grid: Grid
 
 
@@ -257,8 +266,8 @@ class LinearSystem:
 class DiscreteField:
     """Solution values on a grid plus the metadata needed to post-process them.
 
-    ``factor`` is the factorization of the row-equilibrated matrix that
-    produced the values and ``row_scale`` its row scaling, so
+    ``factor`` is the factorization of the system's matrix that produced
+    the values and ``row_scale`` the system's row scaling, so
     ``back_solve`` solves the same system for another right-hand side.
     """
 
@@ -272,16 +281,13 @@ class DiscreteField:
     row_scale: np.ndarray = None
 
     def back_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with M x = rhs for the assembled (unscaled) matrix M, flattened.
+        """x with M x = rhs for the discrete operator M (the system's
+        matrix is diag(row_scale) M), flattened.
 
         ``rhs`` is one right-hand side of shape (size,) or m of them as the
         columns of a (size, m) array; x has the shape of ``rhs``.
         """
         return self.factor.solve((self.row_scale * rhs.T).T)
-
-    @property
-    def profile(self) -> WarpingProfile:
-        return self.grid.profile
 
 
 class SolverConvergenceError(RuntimeError):
@@ -329,8 +335,13 @@ def assemble(grid: Grid) -> LinearSystem:
     grid ``_require_grid_size`` admits, the nine slots of node (j, i) have
     distinct columns and become CSR row j * ntheta + i as they lie in
     memory, less their exact zeros.
-    A weight that is not finite (the metric over- or underflows at radii
-    below about 1e-153) raises ``SolverConvergenceError``.
+
+    Stencil weights near the pole exceed boundary weights by several orders
+    of magnitude (the 1/h^2 metric factor), which would push the rounding
+    floor of the residual b - A x above tight tolerances, so each node's
+    slots are scaled to unit max-norm before packing, and the forcing with
+    them.  A scaled weight that is not finite (the metric over- or
+    underflows at radii below about 1e-153) raises ``SolverConvergenceError``.
     """
     ns, nt = grid.ns, grid.ntheta
     ds, dt = grid.ds, grid.dtheta
@@ -350,6 +361,15 @@ def assemble(grid: Grid) -> LinearSystem:
         weights[1, :, -1] += -2.0 * outer
         weights[0, :, -1] += outer / 3.0
         weights[2, :, -1] = 0.0
+        # Max |w| plane by plane: a reduction over the short (3, 3) axes is
+        # several times slower.  Every row holds its nonzero centre weight,
+        # so no scale is infinite unless the metric is singular.
+        row_max = np.zeros((ns, nt))
+        for arms in weights:
+            for plane in arms:
+                np.maximum(row_max, np.abs(plane), out=row_max)
+        row_scale = 1.0 / row_max
+        weight_slots *= row_scale[..., None, None]
     if not np.isfinite(weight_slots).all():
         raise SolverConvergenceError(
             "singular metric: the stencil weights are not finite", residual=math.inf)
@@ -378,8 +398,9 @@ def assemble(grid: Grid) -> LinearSystem:
     # SuperLU's ordering reads the stored pattern: keep it the true stencil.
     matrix.eliminate_zeros()
     matrix.sort_indices()
-    rhs = (2 * grid.h_dot).ravel()
-    return LinearSystem(matrix=matrix, rhs=rhs, grid=grid)
+    rhs = (row_scale * (2 * grid.h_dot)).ravel()
+    return LinearSystem(matrix=matrix, rhs=rhs, row_scale=row_scale.ravel(),
+                        grid=grid)
 
 
 class _DiskFactor:
@@ -442,30 +463,17 @@ def _is_disk(grid: Grid) -> bool:
             and np.ptp(grid.d2rho) == 0.0)
 
 
-def _equilibrated(system: LinearSystem):
-    """Matrix with every row scaled to unit max-norm, and the row scale."""
-    # Every row holds its nonzero centre weight, so no row is empty.
-    M = system.matrix
-    inv_max = 1.0 / np.maximum.reduceat(np.abs(M.data), M.indptr[:-1])
-    A = M.copy()
-    A.data *= np.repeat(inv_max, np.diff(M.indptr))
-    return A, inv_max
-
-
 def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
     """Direct solve, verified to true relative residual <= tol.
 
-    Stencil weights near the pole exceed boundary weights by several orders
-    of magnitude (the 1/h^2 metric factor), which would push the rounding
-    floor of the residual b - A x above tight tolerances, so rows are first
-    equilibrated to unit max-norm and the residual is measured on the scaled
-    system.  That matrix is factored once: on a disk by an FFT in theta and
-    one tridiagonal system per mode (``_DiskFactor``), on any other domain
-    by SuperLU under a minimum-degree ordering of A^T + A.  One back-solve
-    follows, checked against ||b - A x|| / ||b||; it already reaches that
-    residual's rounding floor, which fixed-precision iterative refinement
-    cannot go below (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, ch. 12).  A residual above tol raises ``SolverConvergenceError``
+    The system's matrix A, equilibrated by ``assemble``, is factored as it
+    stands, once: on a disk by an FFT in theta and one tridiagonal system
+    per mode (``_DiskFactor``), on any other domain by SuperLU under a
+    minimum-degree ordering of A^T + A.  One back-solve follows, checked
+    against ||b - A x|| / ||b||; it already reaches that residual's
+    rounding floor, which fixed-precision iterative refinement cannot go
+    below (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    ch. 12).  A residual above tol raises ``SolverConvergenceError``
     carrying the residual reached (a NaN residual counts as above), and a
     singular factor raises it with an infinite residual.  The field keeps
     the factor and the row scale for ``DiscreteField.back_solve``.
@@ -473,8 +481,7 @@ def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    A, row_scale = _equilibrated(system)
-    b = row_scale * system.rhs
+    A, b = system.matrix, system.rhs
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return DiscreteField(values=np.zeros((system.grid.ns, system.grid.ntheta)),
@@ -499,7 +506,7 @@ def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
         )
     return DiscreteField(values=x.reshape(system.grid.ns, system.grid.ntheta),
                          grid=system.grid, residual=res, factor=lu,
-                         row_scale=row_scale)
+                         row_scale=system.row_scale)
 
 
 def solve_torsion(profile: WarpingProfile, domain: StarDomain, ns: int,

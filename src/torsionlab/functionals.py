@@ -112,7 +112,7 @@ def _discrete_catalog(field: DiscreteField) -> FunctionalCatalog:
     mu = -u
 
     hh, hd = grid.h, grid.h_dot
-    hdd = field.profile.h_ddot(grid.r)
+    hdd = grid.profile.h_ddot(grid.r)
 
     g = gradient_field(field)
     trace, weights = neumann_trace(field)
@@ -269,9 +269,8 @@ def conformal_check(field: DiscreteField) -> np.ndarray:
     statement; the Laplacian is rebuilt from the discrete Hessian trace.
     cos r is the grid's h', positive since the grid lies in the hemisphere.
     """
-    if field.profile.kind != "spherical":
-        raise ValueError(
-            f"conformal check is spherical-only, got profile {field.profile.kind!r}"
-        )
+    kind = field.grid.profile.kind
+    if kind != "spherical":
+        raise ValueError(f"conformal check is spherical-only, got profile {kind!r}")
     g = gradient_field(field)
     return g.laplacian / field.grid.h_dot

@@ -6,6 +6,7 @@ refinement study run outside the suite; each carries a margin of at least
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,18 +219,19 @@ class TestAssemble:
         ds, dt = grid.ds, grid.dtheta
         j, i = 8, 5                     # generic interior node
         row = system.matrix.getrow(j * grid.ntheta + i)
+        scale = system.row_scale[j * grid.ntheta + i]
         weights = dict(zip(row.indices, row.data))
         r = grid.r[j, i]
         assert len(weights) == 5
         assert weights[(j + 1) * grid.ntheta + i] == pytest.approx(
-            1.0 / ds ** 2 + 1.0 / (2.0 * r * ds), rel=1e-13)
+            scale * (1.0 / ds ** 2 + 1.0 / (2.0 * r * ds)), rel=1e-13)
         assert weights[(j - 1) * grid.ntheta + i] == pytest.approx(
-            1.0 / ds ** 2 - 1.0 / (2.0 * r * ds), rel=1e-13)
+            scale * (1.0 / ds ** 2 - 1.0 / (2.0 * r * ds)), rel=1e-13)
         ang = 1.0 / (r ** 2 * dt ** 2)
-        assert weights[j * grid.ntheta + i + 1] == pytest.approx(ang, rel=1e-13)
-        assert weights[j * grid.ntheta + i - 1] == pytest.approx(ang, rel=1e-13)
+        assert weights[j * grid.ntheta + i + 1] == pytest.approx(scale * ang, rel=1e-13)
+        assert weights[j * grid.ntheta + i - 1] == pytest.approx(scale * ang, rel=1e-13)
         assert weights[j * grid.ntheta + i] == pytest.approx(
-            -2.0 / ds ** 2 - 2.0 * ang, rel=1e-13)
+            scale * (-2.0 / ds ** 2 - 2.0 * ang), rel=1e-13)
 
     def test_rhs_is_n_hdot_at_nodes(self):
         # Staggered node s = 4.5/9 lands exactly at r = 0.3 on the 0.6-ball.
@@ -237,10 +239,13 @@ class TestAssemble:
         grid = build_grid(SPHERE, ball, 9, 16)
         system = assemble(grid)
         assert grid.r[4, 0] == 0.3
-        assert system.rhs[4 * 16] == pytest.approx(2.0 * math.cos(0.3), abs=1e-15)
-        assert system.rhs[4 * 16] == pytest.approx(1.910672978251212, abs=1e-14)
+        scale = system.row_scale[4 * 16]
+        assert system.rhs[4 * 16] == pytest.approx(scale * 2.0 * math.cos(0.3),
+                                                   abs=1e-15 * scale)
+        assert system.rhs[4 * 16] == pytest.approx(scale * 1.910672978251212,
+                                                   abs=1e-14 * scale)
         np.testing.assert_array_equal(
-            system.rhs, (2.0 * SPHERE.h_dot(grid.r)).ravel())
+            system.rhs, system.row_scale * (2.0 * SPHERE.h_dot(grid.r)).ravel())
 
     def test_perturbed_domain_has_nine_point_rows(self):
         grid = build_grid(SPHERE, FLOWER, 16, 48)
@@ -252,19 +257,29 @@ class TestAssemble:
 
     @pytest.mark.parametrize("ns,nt", [(8, 16), (16, 48), (64, 128)])
     def test_assembly_matches_reference_formula(self, ns, nt):
-        # Bit-identical to the COO build, so every factorization and output
-        # byte downstream is unchanged.  SuperLU's ordering reads the stored
+        # Bit-identical to the COO build with its rows scaled to unit
+        # max-norm after packing, so every factorization and output byte
+        # downstream is unchanged.  SuperLU's ordering reads the stored
         # pattern, so the exact-zero corner arms of disks (and of rays where
         # rho' = 0) must stay dropped.
         for profile in (EUCLID, SPHERE, HYPER):
             for domain in (StarDomain.ball(1.0), FLOWER, offset_disk(1.0, 0.2)):
                 grid = build_grid(profile, domain, ns, nt)
-                got = assemble(grid).matrix
+                system = assemble(grid)
+                got = system.matrix
                 want = reference_assembly(grid)
+                scale = 1.0 / np.maximum.reduceat(np.abs(want.data), want.indptr[:-1])
+                want.data *= np.repeat(scale, np.diff(want.indptr))
                 case = (profile.kind, domain.modes)
                 assert np.array_equal(got.indptr, want.indptr), case
                 assert np.array_equal(got.indices, want.indices), case
                 assert np.array_equal(got.data, want.data), case
+                assert np.array_equal(system.row_scale, scale), case
+                assert np.array_equal(system.rhs, scale * (2 * grid.h_dot).ravel()), case
+                # max |w| times its rounded reciprocal is 1 or the float
+                # just below it, never more.
+                row_max = np.maximum.reduceat(np.abs(got.data), got.indptr[:-1])
+                assert np.all((row_max == 1.0) | (row_max == np.nextafter(1.0, 0.0))), case
                 assert got.has_canonical_format, case
                 assert np.all(got.data != 0.0), case
 
@@ -286,7 +301,7 @@ class TestSolve:
     def test_residual_contract(self):
         field = solve_torsion(SPHERE, FLOWER, 32, 64, tol=1e-10)
         assert field.residual <= 1e-10
-        assert field.iterations >= 0
+        assert field.iterations == 0
 
     def test_degenerate_domain_rejected(self):
         # rho touches zero at theta = 0 in both cases; construction refuses,
@@ -430,10 +445,28 @@ class TestSolve:
             field = solve_torsion(SPHERE, StarDomain.ball(R), ns, 2 * ns,
                                   tol=1e-10)
             assert field.residual <= 1e-10
-            assert field.iterations <= 5
+            assert field.iterations == 0
             exact = SPHERE.H(field.grid.r) - SPHERE.H(R)
             errors.append(float(np.max(np.abs(field.values - exact))))
         assert 1.5 <= math.log2(errors[0] / errors[1]) <= 2.5
+
+    @pytest.mark.parametrize("domain", [FLOWER, StarDomain.ball(0.8)],
+                             ids=["flower", "ball"])
+    def test_solve_keeps_one_copy_of_the_operator(self, domain):
+        # The system arrives equilibrated, so solve factors it as it stands:
+        # its traced peak stays near the matrix's own bytes (2.15 and 2.51
+        # times them when solve scaled a copy, 1.01 and 1.25 without).
+        system = assemble(build_grid(SPHERE, domain, 64, 128))
+        solve(system)                   # imports and first-call caches
+        matrix = system.matrix
+        nbytes = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        tracemalloc.start()
+        try:
+            solve(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * nbytes
 
     def test_theta_translation_equivariance(self):
         k, nt = 12, 96
@@ -452,8 +485,7 @@ class TestDiskFactor:
         for profile, R in self.GEOMETRIES:
             ball = StarDomain.ball(R)
             system = assemble(build_grid(profile, ball, ns, nt))
-            A, row_scale = discretization._equilibrated(system)
-            b = row_scale * system.rhs
+            A, b = system.matrix, system.rhs
             got = discretization._DiskFactor(A, nt).solve(b)
             lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
             want = lu.solve(b)
@@ -508,13 +540,14 @@ class TestDiskFactor:
 
     def test_equilibration_matches_diagonal_scaling(self):
         domain = StarDomain(0.8, (0.05, 0.1), (0.0, 0.05))
-        system = assemble(build_grid(SPHERE, domain, 16, 32))
-        row_max = np.abs(system.matrix).max(axis=1).toarray().ravel()
+        grid = build_grid(SPHERE, domain, 16, 32)
+        system = assemble(grid)
+        unscaled = reference_assembly(grid)
+        row_max = np.abs(unscaled).max(axis=1).toarray().ravel()
         scale = sp.diags(1.0 / row_max)
-        want_A = (scale @ system.matrix).tocsr()
-        A, row_scale = discretization._equilibrated(system)
-        np.testing.assert_array_equal(A.toarray(), want_A.toarray())
-        np.testing.assert_array_equal(row_scale * system.rhs, scale @ system.rhs)
+        want_A = (scale @ unscaled).tocsr()
+        np.testing.assert_array_equal(system.matrix.toarray(), want_A.toarray())
+        np.testing.assert_array_equal(system.rhs, scale @ (2 * grid.h_dot).ravel())
 
 
 class TestGradientField:

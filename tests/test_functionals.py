@@ -305,7 +305,7 @@ class TestMetricEvaluations:
                            "h_dot": ["build_grid"],
                            "h_ddot": ["_discrete_catalog"]}
         grid = field.grid
-        assert field.profile is grid.profile is profile
+        assert grid.profile is profile
         np.testing.assert_array_equal(grid.h, SPHERE.h(grid.r))
         np.testing.assert_array_equal(grid.h_dot, SPHERE.h_dot(grid.r))
         np.testing.assert_array_equal(grid.h_boundary, SPHERE.h(grid.rho))
