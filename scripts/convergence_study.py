@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from torsionlab import (
-    SOLVER_TOL,
     StarDomain,
     compute_catalog,
     identity_report,
@@ -29,7 +28,6 @@ def main() -> None:
     ap.add_argument("--radius", type=float, default=math.pi / 4)
     ap.add_argument("--base-ns", type=int, default=16)
     ap.add_argument("--levels", type=int, default=4)
-    ap.add_argument("--tol", type=float, default=SOLVER_TOL)
     args = ap.parse_args()
 
     profile = RunConfig(geometry=args.geometry).profile()
@@ -47,7 +45,7 @@ def main() -> None:
     for level in range(args.levels):
         ns = args.base_ns * 2 ** level
         try:
-            field = solve_torsion(profile, ball, ns, 2 * ns, tol=args.tol)
+            field = solve_torsion(profile, ball, ns, 2 * ns)
         except ValueError as exc:
             ap.error(str(exc))
         exact = profile.H(field.grid.r) - profile.H(args.radius)

@@ -31,7 +31,6 @@ import numpy as np
 
 from .closed_form import radial_torsion_solution
 from .discretization import (
-    SOLVER_TOL,
     SolverConvergenceError,
     StarDomain,
     solve_torsion,
@@ -69,7 +68,6 @@ class RunConfig:
     sin_coeffs: dict = field(default_factory=dict)
     Ns: int = 64
     Ntheta: int = 128
-    tol: float = SOLVER_TOL
     report_tol: float = 1e-2
     out: str | None = None
     format: str = "csv"
@@ -170,8 +168,6 @@ def _validate(cfg: RunConfig, sources: dict) -> None:
         fail("Ns", f"Ns must be at least 8, got {cfg.Ns}")
     if cfg.Ntheta < 16 or cfg.Ntheta % 2:
         fail("Ntheta", f"Ntheta must be even and at least 16, got {cfg.Ntheta}")
-    if not (cfg.tol > 0):
-        fail("tol", f"tol must be positive, got {cfg.tol}")
     if not (cfg.report_tol > 0):
         fail("report_tol", f"report_tol must be positive, got {cfg.report_tol}")
     if not (1 <= cfg.modes <= 8):
@@ -180,24 +176,27 @@ def _validate(cfg: RunConfig, sources: dict) -> None:
         fail("budget", f"budget must be at least 50, got {cfg.budget}")
 
     r_max = _R_MAX[cfg.geometry]
-    try:
-        domain = cfg.domain()
-    except ValueError as exc:
-        # The shape comes from R0 and the coefficient keys: name each set one.
-        shape = [place for key, place in sources.items()
-                 if key == "R0" or _COEFF_KEY.match(key)]
-        raise ConfigError(f"{', '.join(shape)}: {exc}") from None
-    if cfg.command == "rigidity" and any(domain.cos_coeffs[cfg.modes:]
-                                         + domain.sin_coeffs[cfg.modes:]):
-        fail("modes", f"the start shape has a nonzero harmonic above modes = {cfg.modes}")
-    if cfg.command == "radial":
-        if cfg.R0 >= r_max:
-            fail("R0", f"ball radius R0 = {cfg.R0} reaches the profile bound "
-                       f"r_max = {r_max:.10g}")
-    elif domain.max_radius >= r_max:
-        fail("R0", f"domain radius {domain.max_radius:.10g} reaches the "
-                   f"profile bound r_max = {r_max:.10g}"
-                   + (" (hemisphere cap)" if cfg.geometry == "spherical" else ""))
+    # radial and an offset sweep use the ball of radius R0.
+    if cfg.R0 >= r_max and (cfg.command == "radial"
+                            or (cfg.command, cfg.family) == ("sweep", "offset")):
+        fail("R0", f"ball radius R0 = {cfg.R0} reaches the profile bound "
+                   f"r_max = {r_max:.10g}")
+    # Only these commands build the domain of R0 and the coefficient keys.
+    if cfg.command in ("solve", "verify", "rigidity"):
+        try:
+            domain = cfg.domain()
+        except ValueError as exc:
+            # The shape comes from R0 and the coefficient keys: name each set one.
+            shape = [place for key, place in sources.items()
+                     if key == "R0" or _COEFF_KEY.match(key)]
+            raise ConfigError(f"{', '.join(shape)}: {exc}") from None
+        if cfg.command == "rigidity" and any(domain.cos_coeffs[cfg.modes:]
+                                             + domain.sin_coeffs[cfg.modes:]):
+            fail("modes", f"the start shape has a nonzero harmonic above modes = {cfg.modes}")
+        if domain.max_radius >= r_max:
+            fail("R0", f"domain radius {domain.max_radius:.10g} reaches the "
+                       f"profile bound r_max = {r_max:.10g}"
+                       + (" (hemisphere cap)" if cfg.geometry == "spherical" else ""))
     if cfg.command == "sweep":
         for v in cfg.family_values:
             bound = v + cfg.R0 if cfg.family == "offset" else v
@@ -333,8 +332,7 @@ def _run_radial(cfg: RunConfig) -> int:
 
 
 def _run_solve(cfg: RunConfig) -> int:
-    field_ = solve_torsion(cfg.profile(), cfg.domain(), cfg.Ns, cfg.Ntheta,
-                           tol=cfg.tol)
+    field_ = solve_torsion(cfg.profile(), cfg.domain(), cfg.Ns, cfg.Ntheta)
     grid = field_.grid
     values, weights = neumann_trace(field_)
     ns, nt = grid.ns, grid.ntheta
@@ -350,8 +348,7 @@ def _run_solve(cfg: RunConfig) -> int:
 
 
 def _run_verify(cfg: RunConfig) -> int:
-    field_ = solve_torsion(cfg.profile(), cfg.domain(), cfg.Ns, cfg.Ntheta,
-                           tol=cfg.tol)
+    field_ = solve_torsion(cfg.profile(), cfg.domain(), cfg.Ns, cfg.Ntheta)
     report = identity_report(compute_catalog(field_), cfg.report_tol)
     _emit(_columns(report.records, ["label", "hypothesis_class", "lhs", "rhs",
                                     "abs_residual", "rel_residual", "verdict"]),
@@ -361,7 +358,7 @@ def _run_verify(cfg: RunConfig) -> int:
 
 def _run_rigidity(cfg: RunConfig) -> int:
     trace = optimize_shape(cfg.domain(), cfg.modes, cfg.profile(), cfg.budget,
-                           cfg.Ns, cfg.Ntheta, solver_tol=cfg.tol)
+                           cfg.Ns, cfg.Ntheta)
     rows = trace.rows
     table = _columns(rows, ["index", "evaluations", "j", "spread", "r0"])
     for k in range(cfg.modes):
@@ -382,7 +379,7 @@ def _run_sweep(cfg: RunConfig) -> int:
         family = offset_family(cfg.R0, cfg.family_values)
     else:
         family = ball_family(cfg.family_values)
-    table = sweep(family, profile, cfg.Ns, cfg.Ntheta, tol=cfg.tol)
+    table = sweep(family, profile, cfg.Ns, cfg.Ntheta)
     _emit(_columns(table, ["parameter", "j", "c_mean", "c_std", "status"]), cfg)
     return 0
 

@@ -64,7 +64,7 @@ __all__ = [
 # of the projection in ``StarDomain.from_function``.
 _VALIDATION_SAMPLES = 4096
 
-# Default bound on the verified scaled residual of ``solve``.
+# Bound on the verified scaled residual of ``solve``, read at each call.
 SOLVER_TOL = 1e-10
 
 # The d-th derivative of a_k cos(k t) + b_k sin(k t) is k^d times
@@ -276,7 +276,7 @@ class DiscreteField:
     residual: float = 0.0
     # Always 0: ``solve`` takes no refinement steps.  Kept only because
     # perfbench/layers.py:_solve_probe reads it for a per-layer metric.
-    iterations: int = 0
+    iterations = 0
     factor: object = None  # ``_DiskFactor`` or SuperLU
     row_scale: np.ndarray = None
 
@@ -292,7 +292,7 @@ class DiscreteField:
 
 class SolverConvergenceError(RuntimeError):
     """The factor was singular, or the verified back-solve left a scaled
-    residual above the requested tol."""
+    residual above the bound ``SOLVER_TOL``."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -463,8 +463,8 @@ def _is_disk(grid: Grid) -> bool:
             and np.ptp(grid.d2rho) == 0.0)
 
 
-def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
-    """Direct solve, verified to true relative residual <= tol.
+def solve(system: LinearSystem) -> DiscreteField:
+    """Direct solve, verified to true relative residual <= ``SOLVER_TOL``.
 
     The system's matrix A, equilibrated by ``assemble``, is factored as it
     stands, once: on a disk by an FFT in theta and one tridiagonal system
@@ -473,14 +473,11 @@ def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
     against ||b - A x|| / ||b||; it already reaches that residual's
     rounding floor, which fixed-precision iterative refinement cannot go
     below (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    ch. 12).  A residual above tol raises ``SolverConvergenceError``
+    ch. 12).  A residual above the bound raises ``SolverConvergenceError``
     carrying the residual reached (a NaN residual counts as above), and a
     singular factor raises it with an infinite residual.  The field keeps
     the factor and the row scale for ``DiscreteField.back_solve``.
     """
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
-
     A, b = system.matrix, system.rhs
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
@@ -498,10 +495,10 @@ def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
         raise SolverConvergenceError(str(exc), residual=math.inf) from None
     x = lu.solve(b)
     res = float(np.linalg.norm(b - A @ x)) / b_norm
-    if not res <= tol:
+    if not res <= SOLVER_TOL:
         raise SolverConvergenceError(
             f"LU solve reached relative residual {res:.3e} "
-            f"(requested {tol:.1e})",
+            f"(requested {SOLVER_TOL:.1e})",
             residual=res,
         )
     return DiscreteField(values=x.reshape(system.grid.ns, system.grid.ntheta),
@@ -510,9 +507,9 @@ def solve(system: LinearSystem, tol: float = SOLVER_TOL) -> DiscreteField:
 
 
 def solve_torsion(profile: WarpingProfile, domain: StarDomain, ns: int,
-                  ntheta: int, tol: float = SOLVER_TOL) -> DiscreteField:
+                  ntheta: int) -> DiscreteField:
     """Convenience wrapper: grid, assembly and solve in one call."""
-    return solve(assemble(build_grid(profile, domain, ns, ntheta)), tol=tol)
+    return solve(assemble(build_grid(profile, domain, ns, ntheta)))
 
 
 def _padded(field_values: np.ndarray, grid: Grid, dirichlet: bool) -> np.ndarray:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .discretization import (
     _COMPLEX_STEP,
-    SOLVER_TOL,
     DiscreteField,
     SolverConvergenceError,
     StarDomain,
@@ -98,14 +97,14 @@ def _trace_residuals(values, weights):
 
 
 def neumann_deviation(domain: StarDomain, profile: WarpingProfile, ns: int,
-                      ntheta: int, tol: float = SOLVER_TOL) -> ShapeObjective:
+                      ntheta: int) -> ShapeObjective:
     """Solve the torsion problem and measure how non-constant the trace is.
 
     J = (weighted variance of the Neumann trace) / (weighted mean)^2, a
     dimensionless number that vanishes exactly when the overdetermined
     problem is solvable on the domain.
     """
-    field = solve_torsion(profile, domain, ns, ntheta, tol=tol)
+    field = solve_torsion(profile, domain, ns, ntheta)
     values, weights = neumann_trace(field)
     total, mean, var = trace_moments(values, weights)
     return ShapeObjective(j=var / mean ** 2, c_mean=mean,
@@ -201,8 +200,7 @@ class _TargetReached(Exception):
 
 def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
                    budget: int, ns: int, ntheta: int, *,
-                   target_j: float = 1e-7,
-                   solver_tol: float = SOLVER_TOL) -> OptimizationTrace:
+                   target_j: float = 1e-7) -> OptimizationTrace:
     """Gauss-Newton descent of J over (a_1..a_K, b_2..b_K) at fixed r0.
 
     J is the squared norm of the weighted trace residuals, so
@@ -247,7 +245,7 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
         try:
             domain = StarDomain(float(shape[0]), tuple(shape[1:modes + 1]),
                                 tuple(shape[modes + 1:]))
-            obj = neumann_deviation(domain, profile, ns, ntheta, tol=solver_tol)
+            obj = neumann_deviation(domain, profile, ns, ntheta)
         except (ValueError, SolverConvergenceError):
             if best_x is None:
                 raise NoFeasibleShapeError(
@@ -301,8 +299,7 @@ class SweepRow:
     status: str
 
 
-def sweep(family, profile: WarpingProfile, ns: int, ntheta: int,
-          tol: float = SOLVER_TOL) -> list:
+def sweep(family, profile: WarpingProfile, ns: int, ntheta: int) -> list:
     """Evaluate J over a parametrized family of domains.
 
     Rows come back in input order.  A solver failure on one member is
@@ -313,7 +310,7 @@ def sweep(family, profile: WarpingProfile, ns: int, ntheta: int,
     table = []
     for parameter, domain in family:
         try:
-            obj = neumann_deviation(domain, profile, ns, ntheta, tol=tol)
+            obj = neumann_deviation(domain, profile, ns, ntheta)
             table.append(SweepRow(float(parameter), obj.j, obj.c_mean,
                                   obj.c_std, "ok"))
         except (ValueError, SolverConvergenceError) as exc:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsionlab.cli as cli
+import torsionlab.discretization as discretization
 from torsionlab import neumann_trace, solve_torsion
 from torsionlab.cli import ConfigError, RunConfig, main, parse_config, run
 
@@ -89,6 +90,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"config line 2.*seed"):
             parse_config("command=solve\nseed=1")
 
+    def test_tol_is_not_a_key(self):
+        # The solver's residual bound is the constant SOLVER_TOL.
+        with pytest.raises(ConfigError, match=r"config line 2: unknown key 'tol'"):
+            parse_config("command=solve\ntol=1e-10")
+
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="config line 1"):
             parse_config("command solve")
@@ -140,6 +146,12 @@ class TestParseConfig:
             parse_config("command=sweep\ngeometry=spherical\nR0=0.8\n"
                          "family_values=0,0.78")
 
+    def test_offset_sweep_radius_names_r0(self):
+        # The offset members are disks of radius R0, so R0 is the key at fault.
+        with pytest.raises(ConfigError,
+                           match=r"^config line 3: ball radius R0 = 60.0 reaches"):
+            parse_config("command=sweep\ngeometry=euclidean\nR0=60")
+
     def test_grid_commands_are_surface_only(self):
         with pytest.raises(ConfigError, match="n = 3"):
             parse_config("command=solve\nn=3")
@@ -153,7 +165,7 @@ class TestParseConfig:
             ("command=solve\ngeometry=flat", "geometry"),
             ("command=solve\nR0=-1", "R0"),
             ("command=solve\nNs=4", "Ns"),
-            ("command=solve\ntol=0", "tol"),
+            ("command=solve\ntol=0", "unknown key 'tol'"),
             ("command=solve\nmax_iter=0", "unknown key 'max_iter'"),
             ("command=verify\nreport_tol=0", "report_tol"),
             ("command=solve\nformat=xml", "format"),
@@ -272,6 +284,26 @@ class TestOtherCommands:
         assert all(line.endswith(",ok") for line in lines[1:])
         assert [float(l.split(",")[0]) for l in lines[1:]] == [0.0, 0.05, 0.1, 0.2]
 
+    def test_ball_sweep_ignores_r0(self, capsys):
+        # A ball sweep builds no domain from R0, so an R0 past the
+        # hemisphere cap is not checked and changes no byte.
+        args = ["--command", "sweep", "--family", "ball", "--family_values",
+                "0.3,0.6", "--Ns", "16", "--Ntheta", "32"]
+        outputs = []
+        for extra in ([], ["--R0", "2"]):
+            assert main(args + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_radial_ignores_coefficient_keys(self, capsys):
+        # radial evaluates the ball of radius R0: a coefficient that would
+        # make a degenerate star domain is not checked and changes no byte.
+        outputs = []
+        for extra in ([], ["--a2", "1.5"]):
+            assert main(["--command", "radial", "--Ns", "16", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_rigidity_trace(self, tmp_path, capsys):
         cfg = ("command=rigidity\ngeometry=spherical\nR0=0.7853981633974483\n"
                "a2=0.1\nmodes=2\nbudget=80\nNs=16\nNtheta=32")
@@ -289,13 +321,17 @@ class TestOtherCommands:
         js = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(js[k + 1] <= js[k] for k in range(len(js) - 1))
 
-    def test_solver_nonconvergence_exit_code(self, tmp_path, capsys):
-        # The tol case and the singular cases (disks and a star domain, at
+    def test_solver_nonconvergence_exit_code(self, tmp_path, monkeypatch,
+                                             capsys):
+        # The bound case and the singular cases (disks and a star domain, at
         # two grid sizes) each write one stderr line and no numpy warning.
-        for cfg in ["command=solve\ngeometry=euclidean\nR0=1.0\ntol=1e-30",
-                    "command=solve\ngeometry=spherical\nR0=1e-300",
-                    "command=verify\ngeometry=hyperbolic\nR0=1e-300",
-                    "command=verify\ngeometry=euclidean\nR0=1e-300\na2=0.1"]:
+        bound = discretization.SOLVER_TOL
+        for cfg, tol in [("command=solve\ngeometry=euclidean\nR0=1.0", 1e-30),
+                         ("command=solve\ngeometry=spherical\nR0=1e-300", bound),
+                         ("command=verify\ngeometry=hyperbolic\nR0=1e-300", bound),
+                         ("command=verify\ngeometry=euclidean\nR0=1e-300\na2=0.1",
+                          bound)]:
+            monkeypatch.setattr(discretization, "SOLVER_TOL", tol)
             for grid in ("\nNs=8\nNtheta=16", "\nNs=16\nNtheta=32"):
                 rc = main([write_config(tmp_path, cfg + grid)])
                 captured = capsys.readouterr()
@@ -326,9 +362,11 @@ class TestOtherCommands:
         assert lines[2].startswith("0.5,") and lines[2].endswith(",ok")
         assert lines[3:] == [""]
 
-    def test_descent_with_no_solvable_shape_exit_code(self, capsys):
-        for args in (["--tol", "1e-30"],
-                     ["--R0", "1e-300", "--a2", "0.1"]):    # singular factorization
+    def test_descent_with_no_solvable_shape_exit_code(self, monkeypatch, capsys):
+        bound = discretization.SOLVER_TOL
+        for tol, args in ((1e-30, []),
+                          (bound, ["--R0", "1e-300", "--a2", "0.1"])):  # singular factorization
+            monkeypatch.setattr(discretization, "SOLVER_TOL", tol)
             rc = main(["--command", "rigidity", "--Ns", "8", "--Ntheta", "16",
                        "--budget", "50", *args])
             captured = capsys.readouterr()
@@ -464,8 +502,7 @@ def emitted_payload(tmp_path, table, fmt):
 
 
 def reference_solve_rows(cfg):
-    field_ = solve_torsion(cfg.profile(), cfg.domain(), cfg.Ns, cfg.Ntheta,
-                           tol=cfg.tol)
+    field_ = solve_torsion(cfg.profile(), cfg.domain(), cfg.Ns, cfg.Ntheta)
     grid = field_.grid
     values, weights = neumann_trace(field_)
     rows = []

@@ -291,7 +291,7 @@ class TestAssemble:
 
 class TestSolve:
     def test_euclidean_center_value(self):
-        field = solve_torsion(EUCLID, StarDomain.ball(1.0), 64, 128, tol=1e-10)
+        field = solve_torsion(EUCLID, StarDomain.ball(1.0), 64, 128)
         assert abs(field.values[0, 0] - (-0.5)) < 2e-4
 
     def test_spherical_center_value(self):
@@ -299,7 +299,7 @@ class TestSolve:
         assert abs(field.values[0, 0] - (-0.2928932188134524)) < 5e-4
 
     def test_residual_contract(self):
-        field = solve_torsion(SPHERE, FLOWER, 32, 64, tol=1e-10)
+        field = solve_torsion(SPHERE, FLOWER, 32, 64)
         assert field.residual <= 1e-10
         assert field.iterations == 0
 
@@ -311,11 +311,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             StarDomain(1.0, (-0.5, -0.5))
 
-    def test_nonconvergence_raises_with_diagnostics(self):
+    def test_nonconvergence_raises_with_diagnostics(self, monkeypatch):
         ball = StarDomain.ball(1.0)
         system = assemble(build_grid(EUCLID, ball, 8, 16))
+        monkeypatch.setattr(discretization, "SOLVER_TOL", 1e-30)
         with pytest.raises(SolverConvergenceError) as info:
-            solve(system, tol=1e-30)
+            solve(system)
         err = info.value
         assert err.residual > 1e-30
         assert "residual" in str(err)
@@ -346,7 +347,7 @@ class TestSolve:
                             lambda A, **kw: Counted(exact_splu(1.25 * A, **kw)))
         system = assemble(build_grid(EUCLID, domain, 8, 16))
         with pytest.raises(SolverConvergenceError) as info:
-            solve(system, tol=1e-10)
+            solve(system)
         assert info.value.residual > 1e-10
         assert len(solves) == 1
 
@@ -413,12 +414,6 @@ class TestSolve:
             solve(system)
         assert math.isnan(info.value.residual)
 
-    def test_tolerance_validation(self):
-        ball = StarDomain.ball(1.0)
-        system = assemble(build_grid(EUCLID, ball, 8, 16))
-        with pytest.raises(ValueError):
-            solve(system, tol=0.0)
-
     def test_maximum_principle(self):
         for profile, domain in ((SPHERE, FLOWER),
                                 (EUCLID, StarDomain.ball(1.0)),
@@ -442,8 +437,7 @@ class TestSolve:
         R = math.pi / 4
         errors = []
         for ns in (128, 256):
-            field = solve_torsion(SPHERE, StarDomain.ball(R), ns, 2 * ns,
-                                  tol=1e-10)
+            field = solve_torsion(SPHERE, StarDomain.ball(R), ns, 2 * ns)
             assert field.residual <= 1e-10
             assert field.iterations == 0
             exact = SPHERE.H(field.grid.r) - SPHERE.H(R)

@@ -46,6 +46,8 @@ def test_script_runs(script, args):
 @pytest.mark.parametrize("script,args,message", [
     pytest.param("convergence_study.py", ["--base-ns", "4"], "ns must be at least",
                  id="convergence_study.py-args3-ns must be at least"),
+    pytest.param("convergence_study.py", ["--tol", "1e-10"], "unrecognized arguments",
+                 id="convergence_study.py-tol-unrecognized arguments"),
 ])
 def test_rejected_argument_is_a_usage_error(script, args, message, monkeypatch,
                                             capsys):
