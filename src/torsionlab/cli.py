@@ -206,8 +206,13 @@ def _validate(cfg: RunConfig, sources: dict) -> None:
                 fail("family_values", f"ball radius {v} in family_values must be "
                                       f"positive and finite")
             if bound >= r_max:
-                fail("family_values", f"family member {v} leaves the profile "
-                                      f"bound r_max = {r_max:.10g}")
+                # An offset member leaves through R0 + v: name each key set
+                # (the defaults keep every member inside, so one is).
+                where = [place for key, place in sources.items()
+                         if key == "family_values"
+                         or (key, cfg.family) == ("R0", "offset")]
+                raise ConfigError(f"{', '.join(where)}: family member {v} leaves "
+                                  f"the profile bound r_max = {r_max:.10g}")
 
 
 def _cell_spec(kind: type) -> str:

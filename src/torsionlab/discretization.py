@@ -332,9 +332,12 @@ def assemble(grid: Grid) -> LinearSystem:
     each outer arm w is folded through the quadratic Dirichlet ghost at
     s = 1 + ds/2, u_ghost = u_{last-1}/3 - 2 u_last: it adds -2 w to the
     arm with dj = 0, w/3 to the arm with dj = -1, and becomes 0.  On every
-    grid ``_require_grid_size`` admits, the nine slots of node (j, i) have
-    distinct columns and become CSR row j * ntheta + i as they lie in
-    memory, less their exact zeros.
+    grid ``_require_grid_size`` admits, the nine slots of node (j, i) become
+    CSR row j * ntheta + i as they lie in memory, less their exact zeros.
+    Their columns are distinct except on the last ring, where the three
+    folded outer arms repeat the dj = 0 columns (6 distinct of 9); those arms
+    weigh exactly zero, so ``eliminate_zeros`` drops them before
+    ``sort_indices`` could meet a duplicate.
 
     Stencil weights near the pole exceed boundary weights by several orders
     of magnitude (the 1/h^2 metric factor), which would push the rounding
@@ -497,8 +500,8 @@ def solve(system: LinearSystem) -> DiscreteField:
     res = float(np.linalg.norm(b - A @ x)) / b_norm
     if not res <= SOLVER_TOL:
         raise SolverConvergenceError(
-            f"LU solve reached relative residual {res:.3e} "
-            f"(requested {SOLVER_TOL:.1e})",
+            f"LU solve reached relative residual {res:.3e}, "
+            f"above the bound {SOLVER_TOL:.1e}",
             residual=res,
         )
     return DiscreteField(values=x.reshape(system.grid.ns, system.grid.ntheta),

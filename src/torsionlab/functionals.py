@@ -246,31 +246,29 @@ def identity_report(catalog: FunctionalCatalog, tolerance: float) -> IdentityRep
 
 
 def sphere_reduction_check(catalog: FunctionalCatalog, profile) -> float:
-    """Defect of the spherical reduction of the Bochner bound.
+    """Defect of the curvature-signed reduction of the Bochner bound.
 
-    On the sphere the curvature bound collapses algebraically onto the sign
-    of the energy defect, scaled by the dimension: bw_gap = n * energy_defect
-    whenever the exact Bochner evaluation and the radial exchange identity
-    hold.  Returns bw_gap - n * energy_defect, which vanishes on geodesic
-    balls and measures the combined defect of those two identities otherwise.
+    On a space form of curvature sign K (+1 sphere, 0 plane, -1 hyperbolic)
+    the curvature bound collapses onto the energy defect: bw_gap =
+    K * n * energy_defect whenever the exact Bochner evaluation and the
+    radial exchange identity hold.  Returns bw_gap - K * n * energy_defect,
+    which vanishes on geodesic balls and measures the combined defect of
+    those two identities otherwise.  Only K = +1 forces rigidity, since
+    bw_gap >= 0 and energy_defect <= 0 then make both zero; at K = -1 the two
+    inequalities agree and force nothing.  Custom profiles raise.
     """
-    if profile.kind != "spherical":
-        raise ValueError(
-            f"spherical reduction needs a spherical profile, got {profile.kind!r}"
-        )
-    return catalog.bw_gap - catalog.n * catalog.energy_defect
+    k = {"spherical": 1, "euclidean": 0, "hyperbolic": -1}.get(profile.kind)
+    if k is None:
+        raise ValueError("a custom profile has no constant curvature K")
+    return catalog.bw_gap - k * catalog.n * catalog.energy_defect
 
 
 def conformal_check(field: DiscreteField) -> np.ndarray:
-    """Ratio Lap u / cos(r) at every grid node, spherical surface case only.
+    """Ratio Lap u / h' at every grid node.
 
-    For the torsion equation on the hemisphere (n = 2) the ratio is
-    identically 2, which is the scalar form of a conformal rigidity
-    statement; the Laplacian is rebuilt from the discrete Hessian trace.
-    cos r is the grid's h', positive since the grid lies in the hemisphere.
+    For the torsion equation Lap u = n h' on a surface (n = 2) the ratio is
+    identically 2 on every profile (h' > 0 on each), the scalar form of a
+    conformal rigidity statement; the Laplacian is rebuilt from the discrete
+    Hessian trace.
     """
-    kind = field.grid.profile.kind
-    if kind != "spherical":
-        raise ValueError(f"conformal check is spherical-only, got profile {kind!r}")
-    g = gradient_field(field)
-    return g.laplacian / field.grid.h_dot
+    return gradient_field(field).laplacian / field.grid.h_dot

@@ -300,7 +300,9 @@ def ricci_quadratic(n: int, warp: RadialJet, u_r, grad_tan_sq):
         raise ValueError("grad_tan_sq is a squared norm and must be >= 0")
     hh, hd, hdd = warp.value, warp.d1, warp.d2
     radial_coef = -(n - 1) * hdd / hh
-    angular_coef = -hdd / hh + (n - 2) * (1.0 - hd * hd) / (hh * hh)
+    # h^2 underflows below r ~ 1e-154, where 1 - h'^2 rounds to 0: dividing
+    # by h twice keeps that 0 instead of making 0/0.
+    angular_coef = -hdd / hh + (n - 2) * (1.0 - hd * hd) / hh / hh
     return radial_coef * np.multiply(u_r, u_r) + angular_coef * grad_tan_sq
 
 

@@ -152,6 +152,20 @@ class TestParseConfig:
                            match=r"^config line 3: ball radius R0 = 60.0 reaches"):
             parse_config("command=sweep\ngeometry=euclidean\nR0=60")
 
+    def test_offset_sweep_member_names_r0(self):
+        # Member 0.1 of the default offsets leaves through R0 + 0.1, and the
+        # user set only R0.
+        with pytest.raises(ConfigError) as info:
+            parse_config("command=sweep", [("R0", "1.5")])
+        assert str(info.value) == ("flag --R0: family member 0.1 leaves the "
+                                   "profile bound r_max = 1.570796327")
+        # A ball member leaves by itself, whatever R0 is.
+        with pytest.raises(ConfigError) as info:
+            parse_config("command=sweep\nfamily=ball\nR0=0.5",
+                         [("family_values", "0.5,2")])
+        assert str(info.value) == ("flag --family_values: family member 2.0 "
+                                   "leaves the profile bound r_max = 1.570796327")
+
     def test_grid_commands_are_surface_only(self):
         with pytest.raises(ConfigError, match="n = 3"):
             parse_config("command=solve\nn=3")
@@ -256,6 +270,17 @@ class TestOtherCommands:
         assert rc == 0
         flux, bulk = catalog["pohozaev_flux"], catalog["pohozaev_bulk"]
         assert abs(flux - bulk) <= 1e-14 * abs(flux)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_radial_tiny_ball_is_finite(self, n, capsys):
+        # h^2 underflows at the smallest quadrature node; no warning is
+        # raised (RuntimeWarning is an error here) and no cell reads nan.
+        assert main(["--command", "radial", "--R0", "1e-200", "--n", str(n)]) == 0
+        values = [float(row[3]) for row in (line.split(",") for line in
+                                            capsys.readouterr().out.split("\n"))
+                  if row[0] == "catalog"]
+        assert len(values) == 23
+        assert all(math.isfinite(v) for v in values)
 
     def test_solve_rows(self, tmp_path, capsys):
         cfg = "command=solve\ngeometry=euclidean\nR0=1.0\nNs=8\nNtheta=16"

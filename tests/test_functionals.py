@@ -1,4 +1,4 @@
-"""Functional catalog, identity report, and the spherical reduction checks.
+"""Functional catalog, identity report, and the reduction checks.
 
 Discrete-path tolerances were frozen from a refinement study; closed-form
 (quadrature) tolerances sit just above the integrator's error estimate.
@@ -241,11 +241,25 @@ class TestIdentityReport:
             identity_report(compute_catalog(ball_field), 0.0)
 
 
+BRANCH = StarDomain(math.acosh(2.0) - 0.03,
+                    (0.0, 0.134, 0.0, 0.0118, 0.0, 0.0010, 0.0, 8.5e-5))
+
+
+def refinement(profile, domain, grids=(32, 64, 128)):
+    return [compute_catalog(solve_torsion(profile, domain, ns, 2 * ns))
+            for ns in grids]
+
+
+def falls_at_second_order(values):
+    return all(abs(a) >= 3.5 * abs(b) for a, b in zip(values, values[1:]))
+
+
 class TestSphereReduction:
     def test_closed_form_balls(self):
-        for n, R in ((2, math.pi / 4), (3, 0.6)):
-            cat = compute_catalog(radial_torsion_solution(SPHERE, n, R))
-            assert abs(sphere_reduction_check(cat, SPHERE)) < 1e-8
+        for profile in (EUCLID, SPHERE, HYPER):
+            for n, R in ((2, math.pi / 4), (3, 0.6), (5, 0.6)):
+                cat = compute_catalog(radial_torsion_solution(profile, n, R))
+                assert abs(sphere_reduction_check(cat, profile)) < 1e-8
 
     def test_discrete_ball_small(self, ball_field):
         cat = compute_catalog(ball_field)
@@ -258,10 +272,35 @@ class TestSphereReduction:
         assert value == cat.bw_gap - cat.n * cat.energy_defect
         assert math.isfinite(value)
 
-    def test_requires_spherical_profile(self, ball_field):
-        cat = compute_catalog(ball_field)
-        with pytest.raises(ValueError):
-            sphere_reduction_check(cat, EUCLID)
+    def test_euclidean_offset_disk_reads_k_zero(self):
+        # Constant Neumann data off the pole: bw_gap -> 0 at second order
+        # while energy_defect stays at -0.0707, so only K = 0 closes.
+        cats = refinement(EUCLID, rigidity.offset_disk(1.0, 0.3))
+        values = [sphere_reduction_check(cat, EUCLID) for cat in cats]
+        assert values == [cat.bw_gap for cat in cats]
+        assert falls_at_second_order(values)
+        assert all(abs(cat.energy_defect) > 0.07 for cat in cats)
+
+    def test_hyperbolic_branch_shape_reads_k_minus_one(self):
+        # A non-round shape with near-constant Neumann data passes all ten
+        # rows; bw_gap + 2 energy_defect closes at second order while the
+        # sphere's form bw_gap - 2 energy_defect stays above 0.8.
+        cats = refinement(HYPER, BRANCH)
+        values = [sphere_reduction_check(cat, HYPER) for cat in cats]
+        assert values == [cat.bw_gap + 2 * cat.energy_defect for cat in cats]
+        assert falls_at_second_order(values)
+        assert all(cat.bw_gap - 2 * cat.energy_defect > 0.8 for cat in cats)
+        for cat in cats:
+            report = identity_report(cat, 1e-2)
+            assert {r.verdict for r in report} == {"pass"}
+            assert report.neumann_cv < 2e-4
+
+    def test_custom_profile_raises(self):
+        flat = geometry.custom_profile(lambda r: r, lambda r: 1.0,
+                                       lambda r: 0.0, 10.0)
+        cat = compute_catalog(radial_torsion_solution(EUCLID, 2, 1.0))
+        with pytest.raises(ValueError, match="custom profile"):
+            sphere_reduction_check(cat, flat)
 
 
 class TestConformalCheck:
@@ -277,10 +316,14 @@ class TestConformalCheck:
         ratio = conformal_check(ball_field)
         assert np.max(np.abs(ratio - 2.0)) < 5e-3
 
-    def test_rejects_euclidean(self):
-        field = solve_torsion(EUCLID, StarDomain.ball(1.0), 8, 16)
-        with pytest.raises(ValueError):
-            conformal_check(field)
+    @pytest.mark.parametrize("profile", [EUCLID, SPHERE, HYPER],
+                             ids=lambda p: p.kind)
+    def test_every_geometry(self, profile):
+        # Lap u = n h' holds on every profile, so the ratio reads n = 2.
+        for R0 in (0.5, 0.8):
+            for ns in (32, 64):
+                field = solve_torsion(profile, StarDomain.ball(R0), ns, 2 * ns)
+                assert np.max(np.abs(conformal_check(field) - 2.0)) < 1e-8
 
 
 class TestMetricEvaluations:
