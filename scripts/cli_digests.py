@@ -30,6 +30,7 @@ SCRIPTS = Path(__file__).resolve().parent
 sys.path.insert(0, str(SCRIPTS.parent / "src"))
 
 from torsionlab import (  # noqa: E402
+    GEOMETRIES,
     bochner_residual,
     newton_equality_check,
     pohozaev_pointwise_residual,
@@ -58,7 +59,7 @@ GEOMETRY_RUNS = {
 
 def runs():
     """(name, argv) of every run, in print order."""
-    for geometry in ("euclidean", "spherical", "hyperbolic"):
+    for geometry in GEOMETRIES:
         for fmt in ("csv", "json"):
             for name, args in GEOMETRY_RUNS.items():
                 yield (f"{geometry}/{name}/{fmt}",
@@ -104,7 +105,7 @@ def digest(argv):
 def pointwise_digests():
     """(name, digest) of the pointwise residuals per geometry and n."""
     R, samples = 0.7, 50
-    for geometry in ("euclidean", "spherical", "hyperbolic"):
+    for geometry in GEOMETRIES:
         profile = RunConfig(geometry=geometry).profile()
         for n in (2, 3, 5):
             sol = radial_torsion_solution(profile, n, R)

@@ -13,9 +13,10 @@ commands cover the package surface:
 Output is CSV or JSON (one object per row), written with full float
 precision so identical configs produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 verdict failure, 2 invalid config, unreadable or
-non-UTF-8 config file, or unwritable output, 3 solver non-convergence (for
-``rigidity``: on the start shape).
+Exit codes: 0 success, 1 verdict failure, 2 invalid config (a ``radial``
+catalog beyond the float range too), unreadable or non-UTF-8 config file,
+or unwritable output, 3 solver non-convergence (for ``rigidity``: on the
+start shape).
 """
 
 from __future__ import annotations
@@ -37,17 +38,12 @@ from .discretization import (
     neumann_trace,
 )
 from .functionals import compute_catalog, identity_report
-from .geometry import make_profile
+from .geometry import GEOMETRIES, make_profile
 from .rigidity import (NoFeasibleShapeError, ball_family, offset_family,
                        optimize_shape, sweep)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
-# r_max for profile construction: the hemisphere cap is a hard geometric
-# bound, the others are generous working limits for desk-scale runs.
-_R_MAX = {"euclidean": 50.0, "spherical": math.pi / 2, "hyperbolic": 50.0}
-
-GEOMETRIES = tuple(_R_MAX)
 FORMATS = ("csv", "json")
 FAMILIES = ("offset", "ball")
 
@@ -83,7 +79,7 @@ class RunConfig:
         return StarDomain(self.R0, a, b)
 
     def profile(self):
-        return make_profile(self.geometry, _R_MAX[self.geometry])
+        return make_profile(self.geometry)
 
 
 # Each RunConfig field with a plain default is a key, parsed as the type of
@@ -149,70 +145,66 @@ def parse_config(text: str = "", overrides=()) -> RunConfig:
 
 
 def _validate(cfg: RunConfig, sources: dict) -> None:
-    def fail(key: str, message: str):
-        raise ConfigError(f"{sources.get(key, 'config')}: {message}")
+    def fail(message: str, *keys: str):
+        # Name every listed key that was set, in parse order.
+        places = [place for key, place in sources.items() if key in keys]
+        raise ConfigError(f"{', '.join(places) or 'config'}: {message}") from None
 
     for key, choices in (("command", COMMANDS), ("geometry", GEOMETRIES),
                          ("format", FORMATS), ("family", FAMILIES)):
         value = getattr(cfg, key)
         if value not in choices:
-            fail(key, f"{key} must be one of {choices}, got {value!r}")
+            fail(f"{key} must be one of {choices}, got {value!r}", key)
     if cfg.n < 2:
-        fail("n", f"n must be >= 2, got {cfg.n}")
+        fail(f"n must be >= 2, got {cfg.n}", "n")
     if cfg.command != "radial" and cfg.n != 2:
-        fail("n", f"command {cfg.command!r} runs the grid solver, which is "
-                  f"surface-only (n = 2); got n = {cfg.n}")
+        fail(f"command {cfg.command!r} runs the grid solver, which is "
+             f"surface-only (n = 2); got n = {cfg.n}", "n")
     if not (cfg.R0 > 0 and math.isfinite(cfg.R0)):
-        fail("R0", f"R0 must be positive, got {cfg.R0}")
+        fail(f"R0 must be positive, got {cfg.R0}", "R0")
     if cfg.Ns < 8:
-        fail("Ns", f"Ns must be at least 8, got {cfg.Ns}")
+        fail(f"Ns must be at least 8, got {cfg.Ns}", "Ns")
     if cfg.Ntheta < 16 or cfg.Ntheta % 2:
-        fail("Ntheta", f"Ntheta must be even and at least 16, got {cfg.Ntheta}")
+        fail(f"Ntheta must be even and at least 16, got {cfg.Ntheta}", "Ntheta")
     if not (cfg.report_tol > 0):
-        fail("report_tol", f"report_tol must be positive, got {cfg.report_tol}")
+        fail(f"report_tol must be positive, got {cfg.report_tol}", "report_tol")
     if not (1 <= cfg.modes <= 8):
-        fail("modes", f"modes must lie in 1..8, got {cfg.modes}")
+        fail(f"modes must lie in 1..8, got {cfg.modes}", "modes")
     if cfg.budget < 50:
-        fail("budget", f"budget must be at least 50, got {cfg.budget}")
+        fail(f"budget must be at least 50, got {cfg.budget}", "budget")
 
-    r_max = _R_MAX[cfg.geometry]
+    r_max = cfg.profile().r_max
     # radial and an offset sweep use the ball of radius R0.
     if cfg.R0 >= r_max and (cfg.command == "radial"
                             or (cfg.command, cfg.family) == ("sweep", "offset")):
-        fail("R0", f"ball radius R0 = {cfg.R0} reaches the profile bound "
-                   f"r_max = {r_max:.10g}")
+        fail(f"ball radius R0 = {cfg.R0} reaches the profile bound "
+             f"r_max = {r_max:.10g}", "R0")
     # Only these commands build the domain of R0 and the coefficient keys.
     if cfg.command in ("solve", "verify", "rigidity"):
         try:
             domain = cfg.domain()
         except ValueError as exc:
-            # The shape comes from R0 and the coefficient keys: name each set one.
-            shape = [place for key, place in sources.items()
-                     if key == "R0" or _COEFF_KEY.match(key)]
-            raise ConfigError(f"{', '.join(shape)}: {exc}") from None
+            fail(str(exc), "R0", *filter(_COEFF_KEY.match, sources))
         if cfg.command == "rigidity" and any(domain.cos_coeffs[cfg.modes:]
                                              + domain.sin_coeffs[cfg.modes:]):
-            fail("modes", f"the start shape has a nonzero harmonic above modes = {cfg.modes}")
+            fail(f"the start shape has a nonzero harmonic above modes = {cfg.modes}", "modes")
         if domain.max_radius >= r_max:
-            fail("R0", f"domain radius {domain.max_radius:.10g} reaches the "
-                       f"profile bound r_max = {r_max:.10g}"
-                       + (" (hemisphere cap)" if cfg.geometry == "spherical" else ""))
+            fail(f"domain radius {domain.max_radius:.10g} reaches the "
+                 f"profile bound r_max = {r_max:.10g}"
+                 + (" (hemisphere cap)" if cfg.geometry == "spherical" else ""), "R0")
     if cfg.command == "sweep":
+        # An offset member leaves through R0 + v.
+        members = ("family_values", "R0") if cfg.family == "offset" else ("family_values",)
         for v in cfg.family_values:
             bound = v + cfg.R0 if cfg.family == "offset" else v
             if cfg.family == "offset" and not (0 <= v < cfg.R0):
-                fail("family_values", f"offset {v} must lie in [0, R0)")
+                fail(f"offset {v} must lie in [0, R0)", "family_values")
             if cfg.family == "ball" and not (v > 0 and math.isfinite(v)):
-                fail("family_values", f"ball radius {v} in family_values must be "
-                                      f"positive and finite")
+                fail(f"ball radius {v} in family_values must be positive and finite",
+                     "family_values")
             if bound >= r_max:
-                # An offset member leaves through R0 + v: name each key set
-                # (the defaults keep every member inside, so one is).
-                where = [place for key, place in sources.items()
-                         if key == "family_values"
-                         or (key, cfg.family) == ("R0", "offset")]
-                raise ConfigError(f"{', '.join(where)}: family member {v} leaves "
-                                  f"the profile bound r_max = {r_max:.10g}")
+                fail(f"family member {v} leaves the profile bound r_max = {r_max:.10g}",
+                     *members)
 
 
 def _cell_spec(kind: type) -> str:
@@ -324,11 +316,19 @@ def _columns(records, names) -> dict:
 
 
 def _run_radial(cfg: RunConfig) -> int:
-    profile = cfg.profile()
-    sol = radial_torsion_solution(profile, cfg.n, cfg.R0)
+    sol = radial_torsion_solution(cfg.profile(), cfg.n, cfg.R0)
     radii = cfg.R0 * (np.arange(1, cfg.Ns + 1) - 0.5) / cfg.Ns
     samples = np.stack([sol.u(radii), sol.u_r(radii)], axis=1).ravel().tolist()
-    catalog = compute_catalog(sol).as_dict()
+    # h^(n-1), Gamma(n/2) or, at the quadrature node nearest the pole, (n-1)/h
+    # leaves the float range on some balls: refuse them, not write non-finite cells.
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            catalog = compute_catalog(sol).as_dict()
+        if not all(map(math.isfinite, catalog.values())):
+            raise OverflowError
+    except (ArithmeticError, ValueError):   # ValueError: a node underflows to 0
+        raise ConfigError(f"the catalog of the ball R0 = {cfg.R0} in dimension "
+                          f"n = {cfg.n} leaves the float range") from None
     _emit({"record": ["sample"] * len(samples) + ["catalog"] * len(catalog),
            "name": ["u", "u_r"] * cfg.Ns + list(catalog),
            "r": np.repeat(radii, 2).tolist() + [None] * len(catalog),

@@ -5,9 +5,9 @@ carrying the metric ``g = dr^2 + h(r)^2 g_{S^{n-1}}`` in polar coordinates
 about a distinguished pole.  The warping function h determines everything.
 The three model geometries are
 
-    euclidean    h(r) = r        (flat space)
-    spherical    h(r) = sin r    (round sphere, capped at the equator)
-    hyperbolic   h(r) = sinh r
+    euclidean    h(r) = r        (flat space, r_max = 50)
+    spherical    h(r) = sin r    (round sphere, capped at the equator pi/2)
+    hyperbolic   h(r) = sinh r   (r_max = 50)
 
 together with user-supplied custom profiles.  Everything in this module is
 an exact closed form evaluated pointwise, except ``quad``, the fixed
@@ -27,6 +27,7 @@ import numpy as np
 __all__ = [
     "WarpingProfile",
     "RadialJet",
+    "GEOMETRIES",
     "make_profile",
     "custom_profile",
     "warping_jet",
@@ -94,7 +95,7 @@ class WarpingProfile:
 
     All four callables accept floats or numpy arrays.  A valid profile has
     h(0) = 0 and h_dot > 0 on [0, r_max), which makes H strictly increasing;
-    ``make_profile`` and ``custom_profile`` are the supported constructors.
+    ``make_profile`` returns the model profiles, ``custom_profile`` any other.
     """
 
     kind: str
@@ -150,46 +151,41 @@ def _require_dimension(n: int) -> None:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
 
 
-def make_profile(kind: str, r_max: float) -> WarpingProfile:
-    """Build one of the three model profiles on the ball of radius r_max.
+# The model profiles on their fixed balls: the sphere's ends at the equator,
+# the others are generous working limits.  [()] gives an np.float64 for a
+# scalar radius, as np.sin and np.cos do.
+_MODELS = {
+    "euclidean": WarpingProfile(
+        "euclidean", 50.0,
+        h=lambda r: np.multiply(r, 1.0),
+        h_dot=lambda r: np.ones_like(r, dtype=float)[()],
+        h_ddot=lambda r: np.zeros_like(r, dtype=float)[()],
+        H=lambda r: np.multiply(r, r) / 2.0,
+    ),
+    "spherical": WarpingProfile(
+        "spherical", math.pi / 2,
+        h=np.sin,
+        h_dot=np.cos,
+        h_ddot=lambda r: -np.sin(r),
+        # 1 - cos r and cosh r - 1 would cancel at small r.
+        H=lambda r: 2.0 * np.sin(r * 0.5) ** 2,
+    ),
+    "hyperbolic": WarpingProfile(
+        "hyperbolic", 50.0,
+        h=np.sinh,
+        h_dot=np.cosh,
+        h_ddot=np.sinh,
+        H=lambda r: 2.0 * np.sinh(r * 0.5) ** 2,
+    ),
+}
+GEOMETRIES = tuple(_MODELS)
 
-    Spherical profiles are only defined up to the equator, so r_max may not
-    exceed pi/2 there.  Use ``custom_profile`` for anything else.
-    """
-    if not (isinstance(r_max, (int, float)) and math.isfinite(r_max) and r_max > 0):
-        raise ValueError(f"r_max must be a positive finite number, got {r_max!r}")
-    r_max = float(r_max)
-    if kind == "euclidean":
-        # [()] gives an np.float64 for a scalar radius, as np.sin and np.cos do.
-        return WarpingProfile(
-            kind, r_max,
-            h=lambda r: np.multiply(r, 1.0),
-            h_dot=lambda r: np.ones_like(r, dtype=float)[()],
-            h_ddot=lambda r: np.zeros_like(r, dtype=float)[()],
-            H=lambda r: np.multiply(r, r) / 2.0,
-        )
-    if kind == "spherical":
-        if r_max > math.pi / 2 + 1e-12:
-            raise ValueError(
-                f"spherical profiles live on the hemisphere: r_max <= pi/2, got {r_max}"
-            )
-        return WarpingProfile(
-            kind, r_max,
-            h=np.sin,
-            h_dot=np.cos,
-            h_ddot=lambda r: -np.sin(r),
-            # 1 - cos r and cosh r - 1 would cancel at small r.
-            H=lambda r: 2.0 * np.sin(r * 0.5) ** 2,
-        )
-    if kind == "hyperbolic":
-        return WarpingProfile(
-            kind, r_max,
-            h=np.sinh,
-            h_dot=np.cosh,
-            h_ddot=np.sinh,
-            H=lambda r: 2.0 * np.sinh(r * 0.5) ** 2,
-        )
-    raise ValueError(f"unknown profile kind {kind!r}; use custom_profile for custom h")
+
+def make_profile(kind: str) -> WarpingProfile:
+    """The model profile ``kind``, one of ``GEOMETRIES``, on its fixed ball."""
+    if kind not in GEOMETRIES:
+        raise ValueError(f"unknown profile kind {kind!r}; use custom_profile for custom h")
+    return _MODELS[kind]
 
 
 def _float_or_elementwise(f: Callable) -> Callable:

@@ -36,6 +36,7 @@ from .geometry import WarpingProfile, warping_jet
 
 __all__ = [
     "NoFeasibleShapeError",
+    "TARGET_J",
     "ShapeObjective",
     "TraceRow",
     "OptimizationTrace",
@@ -51,6 +52,9 @@ __all__ = [
 
 # Harmonics of an offset disk's boundary series.
 _OFFSET_MODES = 24
+
+# J at which ``optimize_shape`` stops, read at each call.
+TARGET_J = 1e-7
 
 
 class NoFeasibleShapeError(RuntimeError):
@@ -199,8 +203,7 @@ class _TargetReached(Exception):
 
 
 def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
-                   budget: int, ns: int, ntheta: int, *,
-                   target_j: float = 1e-7) -> OptimizationTrace:
+                   budget: int, ns: int, ntheta: int) -> OptimizationTrace:
     """Gauss-Newton descent of J over (a_1..a_K, b_2..b_K) at fixed r0.
 
     J is the squared norm of the weighted trace residuals, so
@@ -213,7 +216,7 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
     least_squares runs with ``max_nfev = budget`` and counts every residual
     call, so ``evaluations`` never exceeds ``budget``.  Invalid trial shapes
     get non-finite residuals, which shrink the trust region.
-    The run ends at the first evaluation with J <= ``target_j``, when the
+    The run ends at the first evaluation with J <= ``TARGET_J``, when the
     budget is spent (the best iterate seen is returned with
     ``converged=False``), or when least_squares stops on its own
     tolerances.  A start that cannot be solved raises
@@ -256,7 +259,7 @@ def optimize_shape(initial: StarDomain, modes: int, profile: WarpingProfile,
             best_x, best_j, best_domain = x.copy(), obj.j, domain
             rows.append(TraceRow(len(rows), evaluations, obj.j, domain.r0,
                                  domain.cos_coeffs, domain.sin_coeffs, step))
-        if obj.j <= target_j:
+        if obj.j <= TARGET_J:
             raise _TargetReached
         last = (x.copy(), obj)
         return obj

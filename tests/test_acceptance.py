@@ -29,9 +29,9 @@ from torsionlab import (
     sweep,
 )
 
-EUCLID = make_profile("euclidean", 10.0)
-SPHERE = make_profile("spherical", math.pi / 2)
-HYPER = make_profile("hyperbolic", 5.0)
+EUCLID = make_profile("euclidean")
+SPHERE = make_profile("spherical")
+HYPER = make_profile("hyperbolic")
 
 BALL_GRIDS = ((32, 64), (64, 128), (128, 256))
 FLOWER = StarDomain(0.8, (0.0, 0.0, 0.15))

@@ -282,6 +282,34 @@ class TestOtherCommands:
         assert len(values) == 23
         assert all(math.isfinite(v) for v in values)
 
+    @pytest.mark.parametrize("geometry,R0,n,code", [
+        ("hyperbolic", "49", 13, 2),      # h^(n-1) overflows in the quadrature
+        ("hyperbolic", "49", 16, 2),      # and c^(n-1) in the boundary measure
+        ("hyperbolic", "49", 20, 2),
+        ("euclidean", "49.9", 180, 2),
+        ("euclidean", "49.9", 183, 2),
+        # (n - 1)/h overflows at the node nearest the pole, except at n = 2
+        # and 3e-306, where 1/h stays below 1.8e308.
+        *[(g, R0, n, 0 if (R0, n) == ("3e-306", 2) else 2)
+          for g in cli.GEOMETRIES for R0 in ("3e-306", "1e-320") for n in (2, 3, 5)],
+    ])
+    def test_radial_beyond_the_float_range(self, geometry, R0, n, code, capsys):
+        # Finite cells, or exit 2 with one line naming R0 and n and no output;
+        # never a traceback, a warning (an error here) or a non-finite cell.
+        rc = main(["--command", "radial", "--geometry", geometry, "--R0", R0,
+                   "--n", str(n)])
+        out, err = capsys.readouterr()
+        values = [float(row[3]) for row in (line.split(",") for line in out.split("\n"))
+                  if row[0] == "catalog"]
+        assert rc == code
+        assert all(math.isfinite(v) for v in values)
+        if code == 0:
+            assert err == "" and len(values) == 23
+        else:
+            assert out == ""
+            assert err.splitlines() == [f"the catalog of the ball R0 = {float(R0)} in "
+                                        f"dimension n = {n} leaves the float range"]
+
     def test_solve_rows(self, tmp_path, capsys):
         cfg = "command=solve\ngeometry=euclidean\nR0=1.0\nNs=8\nNtheta=16"
         rc = main([write_config(tmp_path, cfg)])

@@ -30,9 +30,9 @@ from torsionlab import (
     radial_torsion_solution,
 )
 
-EUCLID = make_profile("euclidean", 10.0)
-SPHERE = make_profile("spherical", math.pi / 2)
-HYPER = make_profile("hyperbolic", 5.0)
+EUCLID = make_profile("euclidean")
+SPHERE = make_profile("spherical")
+HYPER = make_profile("hyperbolic")
 
 
 class TestRadialSolution:

@@ -33,9 +33,9 @@ from torsionlab import (
     solve_torsion,
 )
 
-EUCLID = make_profile("euclidean", 10.0)
-SPHERE = make_profile("spherical", math.pi / 2)
-HYPER = make_profile("hyperbolic", 5.0)
+EUCLID = make_profile("euclidean")
+SPHERE = make_profile("spherical")
+HYPER = make_profile("hyperbolic")
 
 FLOWER = StarDomain(0.8, (0.0, 0.0, 0.15))     # rho = 0.8 (1 + 0.15 cos 3t)
 
@@ -529,7 +529,9 @@ class TestDiskFactor:
         ("hyperbolic", 50.0, 0.01),
     ])
     def test_fine_balls_at_radius_edges(self, kind, r_max, R):
-        field = solve_torsion(make_profile(kind, r_max), StarDomain.ball(R), 256, 512)
+        profile = make_profile(kind)
+        assert profile.r_max == r_max
+        field = solve_torsion(profile, StarDomain.ball(R), 256, 512)
         assert field.residual <= 1e-10
         assert field.iterations == 0
 

@@ -34,9 +34,9 @@ from torsionlab import (
     sphere_reduction_check,
 )
 
-EUCLID = make_profile("euclidean", 10.0)
-SPHERE = make_profile("spherical", math.pi / 2)
-HYPER = make_profile("hyperbolic", 5.0)
+EUCLID = make_profile("euclidean")
+SPHERE = make_profile("spherical")
+HYPER = make_profile("hyperbolic")
 
 FLOWER = StarDomain(0.8, (0.0, 0.0, 0.15))
 

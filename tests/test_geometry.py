@@ -28,6 +28,9 @@ from torsionlab import (
 )
 from torsionlab.geometry import quad
 
+# Each model profile with the top of the range its checks sample, below its
+# bound: near hyperbolic space's r = 50, H reaches 2.6e21, where a central
+# difference of H cannot meet a 1e-6 bound.
 ALL_KINDS = [("euclidean", 10.0), ("spherical", math.pi / 2), ("hyperbolic", 5.0)]
 
 
@@ -37,7 +40,7 @@ def jet_of_H(profile, r):
 
 class TestMakeProfile:
     def test_euclidean_closed_forms(self):
-        p = make_profile("euclidean", 10.0)
+        p = make_profile("euclidean")
         assert p.h(1.0) == 1.0
         assert p.H(1.0) == 0.5
         assert p.h_dot(2.3) == 1.0
@@ -46,7 +49,7 @@ class TestMakeProfile:
     @pytest.mark.parametrize("r", [2.3, 2, np.array(2.3), np.array([0.5, 2.0])],
                              ids=["float", "int", "0-d", "1-d"])
     def test_euclidean_derivatives_are_float_arrays_shaped_like_r(self, r):
-        p = make_profile("euclidean", 10.0)
+        p = make_profile("euclidean")
         for fn, value in ((p.h_dot, 1.0), (p.h_ddot, 0.0)):
             got = fn(r)
             assert type(got) is (np.ndarray if np.ndim(r) else np.float64)
@@ -54,63 +57,57 @@ class TestMakeProfile:
             assert got.shape == np.shape(r)
             assert np.all(got == value)
 
-    @pytest.mark.parametrize("kind,rmax", ALL_KINDS)
-    def test_float_radius_gives_float64(self, kind, rmax):
-        p = make_profile(kind, rmax)
+    @pytest.mark.parametrize("kind,r_top", ALL_KINDS)
+    def test_float_radius_gives_float64(self, kind, r_top):
+        p = make_profile(kind)
         for fn in (p.h, p.h_dot, p.h_ddot, p.H):
             assert type(fn(0.5)) is np.float64
 
     def test_spherical_closed_forms(self):
-        p = make_profile("spherical", math.pi / 2)
+        p = make_profile("spherical")
         assert p.h(math.pi / 4) == pytest.approx(0.7071067811865475, abs=1e-15)
         assert p.H(math.pi / 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_hyperbolic_primitive_matches_quadrature_oracle(self):
         # Frozen oracle: quad(sinh, 0, 1) = 0.5430806348152437 = cosh(1) - 1.
-        p = make_profile("hyperbolic", 5.0)
+        p = make_profile("hyperbolic")
         assert p.H(1.0) == pytest.approx(0.5430806348152437, abs=1e-12)
-
-    def test_rejects_bad_radius_bounds(self):
-        with pytest.raises(ValueError):
-            make_profile("spherical", math.pi / 2 + 0.01)
-        with pytest.raises(ValueError):
-            make_profile("euclidean", 0.0)
-        with pytest.raises(ValueError):
-            make_profile("euclidean", -1.0)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
-            make_profile("parabolic", 1.0)
+            make_profile("parabolic")
+        with pytest.raises(ValueError):
+            make_profile(["spherical"])
 
-    @pytest.mark.parametrize("kind,rmax", ALL_KINDS)
-    def test_h_vanishes_at_origin_and_hdot_positive(self, kind, rmax):
-        p = make_profile(kind, rmax)
+    @pytest.mark.parametrize("kind,r_top", ALL_KINDS)
+    def test_h_vanishes_at_origin_and_hdot_positive(self, kind, r_top):
+        p = make_profile(kind)
         assert p.h(0.0) == 0.0
-        rs = np.linspace(1e-3, rmax - 1e-3, 1000)
+        rs = np.linspace(1e-3, r_top - 1e-3, 1000)
         assert np.all(p.h_dot(rs) > 0.0)
 
-    @pytest.mark.parametrize("kind,rmax", ALL_KINDS)
-    def test_primitive_derivative_is_h(self, kind, rmax):
+    @pytest.mark.parametrize("kind,r_top", ALL_KINDS)
+    def test_primitive_derivative_is_h(self, kind, r_top):
         # Central difference of H with step 1e-5 against h itself.
-        p = make_profile(kind, rmax)
-        rs = np.linspace(1e-3, rmax - 1e-3, 1000)
+        p = make_profile(kind)
+        rs = np.linspace(1e-3, r_top - 1e-3, 1000)
         step = 1e-5
         fd = (p.H(rs + step) - p.H(rs - step)) / (2 * step)
         assert np.max(np.abs(fd - p.h(rs))) < 1e-6
 
-    @pytest.mark.parametrize("kind,rmax", ALL_KINDS)
-    def test_second_derivative_relation(self, kind, rmax):
+    @pytest.mark.parametrize("kind,r_top", ALL_KINDS)
+    def test_second_derivative_relation(self, kind, r_top):
         # hddot is -h, 0, +h for the three canonical profiles.
         sign = {"euclidean": 0.0, "spherical": -1.0, "hyperbolic": 1.0}[kind]
-        p = make_profile(kind, rmax)
-        rs = np.linspace(1e-3, rmax - 1e-3, 200)
+        p = make_profile(kind)
+        rs = np.linspace(1e-3, r_top - 1e-3, 200)
         assert np.max(np.abs(p.h_ddot(rs) - sign * p.h(rs))) < 1e-14
 
     def test_primitive_increasing_from_zero(self):
-        for kind, rmax in ALL_KINDS:
-            p = make_profile(kind, rmax)
+        for kind, r_top in ALL_KINDS:
+            p = make_profile(kind)
             assert p.H(0.0) == 0.0
-            rs = np.linspace(1e-3, rmax - 1e-3, 50)
+            rs = np.linspace(1e-3, r_top - 1e-3, 50)
             assert np.all(np.diff(p.H(rs)) > 0)
 
 
@@ -134,16 +131,16 @@ class TestCustomProfile:
 
 
 class TestWarpingJet:
-    @pytest.mark.parametrize("kind,rmax", ALL_KINDS)
-    def test_jet_is_h_and_its_derivatives(self, kind, rmax):
-        p = make_profile(kind, rmax)
+    @pytest.mark.parametrize("kind,r_top", ALL_KINDS)
+    def test_jet_is_h_and_its_derivatives(self, kind, r_top):
+        p = make_profile(kind)
         for r in (0.3, np.array([0.3, 1.1])):
             w = warping_jet(p, r)
             for got, fn in ((w.value, p.h), (w.d1, p.h_dot), (w.d2, p.h_ddot)):
                 np.testing.assert_array_equal(got, fn(r))
 
     def test_rejects_pole_and_exterior(self):
-        p = make_profile("spherical", math.pi / 2)
+        p = make_profile("spherical")
         for r in (0.0, math.pi / 2, 2.0, np.array([0.5, 0.0])):
             with pytest.raises(ValueError, match="radius must lie strictly inside"):
                 warping_jet(p, r)
@@ -152,28 +149,28 @@ class TestWarpingJet:
 class TestRadialHessian:
     def test_primitive_gives_isotropic_hessian(self):
         # f = H has both eigenvalues equal to h_dot.
-        p = make_profile("spherical", math.pi / 2)
+        p = make_profile("spherical")
         r = 0.7
         rad, ang = radial_hessian(warping_jet(p, r), jet_of_H(p, r))
         assert rad == pytest.approx(math.cos(0.7), abs=1e-15)
         assert ang == pytest.approx(math.cos(0.7), abs=1e-15)
 
     def test_euclidean_identity_hessian(self):
-        p = make_profile("euclidean", 10.0)
+        p = make_profile("euclidean")
         rad, ang = radial_hessian(warping_jet(p, 2.0), RadialJet(2.0, 2.0, 1.0))
         assert rad == 1.0
         assert ang == 1.0
 
     def test_linear_function_in_r(self):
         # f(r) = r: radial eigenvalue 0, angular cot(r); equals 1 at pi/4.
-        p = make_profile("spherical", math.pi / 2)
+        p = make_profile("spherical")
         r = math.pi / 4
         rad, ang = radial_hessian(warping_jet(p, r), RadialJet(r, 1.0, 0.0))
         assert rad == 0.0
         assert ang == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_pole_and_exterior(self):
-        p = make_profile("spherical", math.pi / 2)
+        p = make_profile("spherical")
         with pytest.raises(ValueError):
             radial_hessian(warping_jet(p, 0.0), RadialJet(0.0, 1.0, 0.0))
         with pytest.raises(ValueError):
@@ -182,13 +179,13 @@ class TestRadialHessian:
 
 class TestLaplacianRadial:
     def test_euclidean_half_square(self):
-        p = make_profile("euclidean", 10.0)
+        p = make_profile("euclidean")
         f = RadialJet(0.5, 1.0, 1.0)
         assert laplacian_radial(3, warping_jet(p, 1.0), f) == 3.0
 
     def test_primitive_trace(self):
         # Laplacian of H is n h_dot; frozen 2 cos(0.5) = 1.7551651237807455.
-        p = make_profile("spherical", math.pi / 2)
+        p = make_profile("spherical")
         got = laplacian_radial(2, warping_jet(p, 0.5), jet_of_H(p, 0.5))
         assert got == pytest.approx(1.7551651237807455, abs=1e-13)
 
@@ -196,18 +193,18 @@ class TestLaplacianRadial:
         # Laplacian of h^2/2 is n hdot^2 + h hddot; at r = 0.5, n = 2 the
         # value is 2cos^2(0.5) - sin^2(0.5) = 1.3104534588022096 (frozen
         # from direct evaluation).
-        p = make_profile("spherical", math.pi / 2)
+        p = make_profile("spherical")
         r = 0.5
         h, hd = p.h(r), p.h_dot(r)
         f = RadialJet(0.5 * h * h, h * hd, hd * hd + h * p.h_ddot(r))
         got = laplacian_radial(2, warping_jet(p, r), f)
         assert got == pytest.approx(1.3104534588022096, abs=1e-13)
 
-    @pytest.mark.parametrize("kind,rmax", ALL_KINDS)
+    @pytest.mark.parametrize("kind,r_top", ALL_KINDS)
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_primitive_trace_everywhere(self, kind, rmax, n):
-        p = make_profile(kind, rmax)
-        for r in np.linspace(1e-3, rmax - 1e-3, 200):
+    def test_primitive_trace_everywhere(self, kind, r_top, n):
+        p = make_profile(kind)
+        for r in np.linspace(1e-3, r_top - 1e-3, 200):
             got = laplacian_radial(n, warping_jet(p, r), jet_of_H(p, r))
             assert got == pytest.approx(n * p.h_dot(r), rel=1e-13, abs=1e-14)
 
@@ -215,14 +212,14 @@ class TestLaplacianRadial:
 class TestDivergenceRadial:
     def test_metric_field_exact(self):
         # div of h d/dr is exactly n h_dot; 2 cos(0.3) = 1.910672978251212.
-        p = make_profile("spherical", math.pi / 2)
+        p = make_profile("spherical")
         w = warping_jet(p, 0.3)
         got = divergence_radial(2, w, w)
         assert got == 2.0 * math.cos(0.3)
         assert got == pytest.approx(1.910672978251212, abs=1e-15)
 
     def test_euclidean_position_field(self):
-        p = make_profile("euclidean", 10.0)
+        p = make_profile("euclidean")
         for r in (0.5, 1.0, 3.0):
             assert divergence_radial(4, warping_jet(p, r), RadialJet(r, 1.0, 0.0)) \
                 == 4.0
@@ -231,39 +228,39 @@ class TestDivergenceRadial:
         # phi = -h^3/2 has divergence -(n+2) h^2 hdot / 2; at r = 0.5, n = 2
         # this is -2 sin^2(0.5) cos(0.5) = -0.4034226801113349 (frozen from
         # direct evaluation).
-        p = make_profile("spherical", math.pi / 2)
+        p = make_profile("spherical")
         r = 0.5
         h, hd = p.h(r), p.h_dot(r)
         phi = RadialJet(-0.5 * h ** 3, -1.5 * h * h * hd, 0.0)
         got = divergence_radial(2, warping_jet(p, r), phi)
         assert got == pytest.approx(-0.4034226801113349, abs=1e-13)
 
-    @pytest.mark.parametrize("kind,rmax", ALL_KINDS)
+    @pytest.mark.parametrize("kind,r_top", ALL_KINDS)
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_metric_field_exact_everywhere(self, kind, rmax, n):
-        p = make_profile(kind, rmax)
-        for r in np.linspace(1e-3, rmax - 1e-3, 100):
+    def test_metric_field_exact_everywhere(self, kind, r_top, n):
+        p = make_profile(kind)
+        for r in np.linspace(1e-3, r_top - 1e-3, 100):
             w = warping_jet(p, r)
             assert divergence_radial(n, w, w) == n * p.h_dot(r)
 
 
 class TestRicciQuadratic:
     def test_spherical_value(self):
-        p = make_profile("spherical", math.pi / 2)
+        p = make_profile("spherical")
         assert ricci_quadratic(3, warping_jet(p, 0.4), 1.0, 1.0) \
             == pytest.approx(4.0, abs=1e-14)
 
     def test_euclidean_flat(self):
-        p = make_profile("euclidean", 10.0)
+        p = make_profile("euclidean")
         assert ricci_quadratic(4, warping_jet(p, 1.2), 0.3, 0.9) == 0.0
 
     def test_hyperbolic_radial_direction(self):
-        p = make_profile("hyperbolic", 5.0)
+        p = make_profile("hyperbolic")
         assert ricci_quadratic(2, warping_jet(p, 0.8), 1.0, 0.0) \
             == pytest.approx(-1.0, abs=1e-15)
 
     def test_rejects_negative_tangential_norm(self):
-        p = make_profile("spherical", math.pi / 2)
+        p = make_profile("spherical")
         with pytest.raises(ValueError):
             ricci_quadratic(2, warping_jet(p, 0.5), 1.0, -1e-3)
 
@@ -272,14 +269,14 @@ class TestRicciQuadratic:
     @settings(max_examples=200, deadline=None)
     def test_spherical_collapse_property(self, u_r, g_tan, r):
         # On the round sphere the quadratic form is (n-1)|Du|^2.
-        p = make_profile("spherical", math.pi / 2)
+        p = make_profile("spherical")
         for n in (2, 3, 5):
             got = ricci_quadratic(n, warping_jet(p, r), u_r, g_tan)
             want = (n - 1) * (u_r * u_r + g_tan)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_hyperbolic_mirror_of_sphere(self):
-        p = make_profile("hyperbolic", 5.0)
+        p = make_profile("hyperbolic")
         got = ricci_quadratic(3, warping_jet(p, 0.7), 1.5, 2.0)
         want = -2 * (1.5 ** 2 + 2.0)
         assert got == pytest.approx(want, rel=1e-12)
@@ -346,7 +343,7 @@ class TestRadialJet:
 
 
 def test_profile_is_frozen():
-    p = make_profile("euclidean", 10.0)
+    p = make_profile("euclidean")
     with pytest.raises(AttributeError):
         p.r_max = 3.0
     assert isinstance(p, WarpingProfile)

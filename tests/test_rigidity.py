@@ -33,9 +33,9 @@ from torsionlab import (
     sweep,
 )
 
-EUCLID = make_profile("euclidean", 10.0)
-SPHERE = make_profile("spherical", math.pi / 2)
-HYPER = make_profile("hyperbolic", 5.0)
+EUCLID = make_profile("euclidean")
+SPHERE = make_profile("spherical")
+HYPER = make_profile("hyperbolic")
 
 OFFSETS = (0.0, 0.05, 0.1, 0.2)
 PROFILES = {"euclidean": EUCLID, "spherical": SPHERE, "hyperbolic": HYPER}
@@ -211,8 +211,9 @@ class TestOptimizeShape:
             return deviation(*args, **kwargs)
 
         monkeypatch.setattr(rigidity, "neumann_deviation", solvable_twice)
+        monkeypatch.setattr(rigidity, "TARGET_J", 0.0)
         trace = optimize_shape(StarDomain(math.pi / 4, (0.0, 0.1)), 8, SPHERE,
-                               budget=50, ns=16, ntheta=32, target_j=0.0)
+                               budget=50, ns=16, ntheta=32)
         assert trace.best_j == trace.rows[-1].j < trace.rows[0].j
         assert not trace.converged
         assert trace.status == "budget exhausted"
@@ -292,8 +293,9 @@ class TestOptimizeShape:
             return deviation(*args, **kwargs)
 
         monkeypatch.setattr(rigidity, "neumann_deviation", counted)
+        monkeypatch.setattr(rigidity, "TARGET_J", 0.0)
         trace = optimize_shape(StarDomain(1.5, (0.0, 0.04)), 8, SPHERE,
-                               budget=50, ns=16, ntheta=32, target_j=0.0)
+                               budget=50, ns=16, ntheta=32)
         assert trace.evaluations == len(calls)
         assert trace.evaluations <= 50
 
@@ -465,12 +467,12 @@ class TestDegenerateHyperbolicRadius:
         assert 0.13 < a[1] < 0.14, a
         assert 0.011 < a[3] < 0.013, a
 
-    def test_below_descends_past_eight_modes(self):
+    def test_below_descends_past_eight_modes(self, monkeypatch):
         # Below the degenerate radius J's floor is the shape's Fourier
         # truncation: modes 8 stop at J = 9.3e-10, modes 10 at 1.06e-11.
+        monkeypatch.setattr(rigidity, "TARGET_J", 0.0)
         trace = optimize_shape(StarDomain(self.R_DEGENERATE - 0.03, (0.0, 0.15)),
-                               10, HYPER, budget=50, ns=32, ntheta=64,
-                               target_j=0.0)
+                               10, HYPER, budget=50, ns=32, ntheta=64)
         assert trace.best_j < 1e-10
         assert 0.13 < trace.best_domain.cos_coeffs[1] < 0.14
 

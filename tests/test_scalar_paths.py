@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from torsionlab import (
+    GEOMETRIES,
     RadialJet,
     divergence_radial,
     laplacian_radial,
@@ -23,8 +24,7 @@ from torsionlab import (
     warping_jet,
 )
 
-PROFILES = [make_profile("euclidean", 10.0), make_profile("spherical", math.pi / 2),
-            make_profile("hyperbolic", 5.0)]
+PROFILES = [make_profile(kind) for kind in GEOMETRIES]
 
 
 def as_four(x):
