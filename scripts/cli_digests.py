@@ -10,7 +10,10 @@ n = 5 and verify at R0 = 40, and the run configs in this directory, each
 in both output formats.  The last lines,
 ``pointwise/<geometry>/n<k> 0 <sha256[:16]>``, digest the ``repr``s of the
 three pointwise residuals at 50 midpoint radii of R0 = 0.7 instead, for
-n = 2, 3 and 5; they run no CLI, so their code is always 0.
+n = 2, 3 and 5, and the five ``custom/...`` lines those of the nodal values
+and the catalog of a ball and a flower solve at 32x64 on the custom profile
+h = r + 0.3 r^3, and of the flower's shape Jacobian; they run no CLI, so
+their code is always 0.
 ``torsionlab`` is imported from this checkout's ``src``, so running the
 script in two checkouts and comparing the outputs shows whether a change
 keeps the CLI bytes:
@@ -31,10 +34,15 @@ sys.path.insert(0, str(SCRIPTS.parent / "src"))
 
 from torsionlab import (  # noqa: E402
     GEOMETRIES,
+    StarDomain,
     bochner_residual,
+    compute_catalog,
+    custom_profile,
+    neumann_deviation,
     newton_equality_check,
     pohozaev_pointwise_residual,
     radial_torsion_solution,
+    solve_torsion,
 )
 from torsionlab.cli import RunConfig, main  # noqa: E402
 
@@ -117,9 +125,27 @@ def pointwise_digests():
             yield f"pointwise/{geometry}/n{n}", _hex("\n".join(reprs))
 
 
+def custom_digests():
+    """(name, digest) of the grid path on h = r + 0.3 r^3 (r_max = 2) at 32x64."""
+    profile = custom_profile(lambda r: r + 0.3 * r ** 3, lambda r: 1.0 + 0.9 * r ** 2,
+                             lambda r: 1.8 * r, 2.0)
+    domains = {"ball": StarDomain.ball(0.8),
+               "flower": StarDomain(0.8, (0.0, 0.1), (0.0, 0.05))}
+
+    def array_hex(values):
+        return _hex("\n".join(map(repr, values.ravel().tolist())))
+
+    for name, domain in domains.items():
+        field = solve_torsion(profile, domain, 32, 64)
+        yield f"custom/{name}/solve", array_hex(field.values)
+        yield f"custom/{name}/catalog", _hex(repr(compute_catalog(field)))
+    objective = neumann_deviation(domains["flower"], profile, 32, 64)
+    yield "custom/flower/jacobian", array_hex(objective.jacobian())
+
+
 if __name__ == "__main__":
     for name, argv in runs():
         code, hexdigest = digest(argv)
         print(f"{name} {code} {hexdigest}", flush=True)
-    for name, hexdigest in pointwise_digests():
+    for name, hexdigest in (*pointwise_digests(), *custom_digests()):
         print(f"{name} 0 {hexdigest}", flush=True)

@@ -319,8 +319,8 @@ def _run_radial(cfg: RunConfig) -> int:
     sol = radial_torsion_solution(cfg.profile(), cfg.n, cfg.R0)
     radii = cfg.R0 * (np.arange(1, cfg.Ns + 1) - 0.5) / cfg.Ns
     samples = np.stack([sol.u(radii), sol.u_r(radii)], axis=1).ravel().tolist()
-    # h^(n-1), Gamma(n/2) or, at the quadrature node nearest the pole, (n-1)/h
-    # leaves the float range on some balls: refuse them, not write non-finite cells.
+    # h^(n-1) or, at the quadrature node nearest the pole, (n-1)/h leaves the
+    # float range on some balls: refuse them, not write non-finite cells.
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             catalog = compute_catalog(sol).as_dict()

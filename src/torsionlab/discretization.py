@@ -5,8 +5,9 @@ n = 2 of Lap u = n h_dot, on star-shaped domains  {r < rho(theta)}  by
 mapping to the unit square in the coordinates (s, theta) with
 r = s rho(theta).  Design points:
 
-  * the grid carries the metric: ``build_grid`` evaluates h and h' at the
-    nodes and h on the boundary once, and every later step reads them;
+  * the grid carries the geometry: ``build_grid`` evaluates rho, rho' and
+    rho'' at the grid angles, h, h' and h'' at the nodes and h, h' on the
+    boundary once, and every later step reads them;
   * staggered radial nodes s_j = (j - 1/2) / Ns keep every unknown off the
     pole, and the stencil arm that would cross the pole is redirected to the
     antipodal column, linking (s_1, theta) with (s_1, theta + pi);
@@ -139,23 +140,6 @@ class StarDomain:
     def d2rho(self, theta):
         return self._series(theta, 2)
 
-    def parameter_gradient(self, theta) -> np.ndarray:
-        """Derivatives of (rho, rho', rho'') in (r0, a_1..a_K, b_1..b_K), K = modes.
-
-        Returns an array of shape (3, 1 + 2K, len(theta)).  Each derivative
-        of rho is linear in the coefficients and r0 times its value at
-        r0 = 1, so a_k contributes r0 k^d (sign, basis) of the cosine term.
-        """
-        theta = np.asarray(theta, dtype=float)
-        k = np.arange(1, self.modes + 1, dtype=float)[:, None]
-        angles = k * theta
-        return np.stack([
-            np.concatenate([self._series(theta, d)[None, :] / self.r0]
-                           + [self.r0 * sign * k ** d * basis(angles)
-                              for sign, basis in terms])
-            for d, terms in enumerate(_SERIES_DERIVATIVES)
-        ])
-
     def rotated(self, phase: float) -> "StarDomain":
         """Same shape with the angular origin shifted: rho'(theta) = rho(theta + phase)."""
         k = np.arange(1, self.modes + 1, dtype=float)
@@ -192,7 +176,7 @@ class StarDomain:
 class Grid:
     """Discretization of (profile, domain) on the mapped unit square.
 
-    Carries the physical radii and the metric's h and h', evaluated once.
+    Carries every geometric quantity the solver reads, evaluated once.
     """
 
     profile: WarpingProfile
@@ -207,7 +191,9 @@ class Grid:
     r: np.ndarray          # (ns, ntheta) physical radii s_j rho_i
     h: np.ndarray          # (ns, ntheta) h(r) at the nodes
     h_dot: np.ndarray      # (ns, ntheta) h'(r) at the nodes
+    h_ddot: np.ndarray     # (ns, ntheta) h''(r) at the nodes
     h_boundary: np.ndarray  # (ntheta,) h(rho) on the boundary
+    h_dot_boundary: np.ndarray  # (ntheta,) h'(rho) on the boundary
     ds: float
     dtheta: float
 
@@ -242,7 +228,8 @@ def build_grid(profile: WarpingProfile, domain: StarDomain, ns: int,
     return Grid(
         profile=profile, domain=domain, ns=ns, ntheta=ntheta, s=s, theta=theta,
         rho=rho, drho=domain.drho(theta), d2rho=domain.d2rho(theta), r=r,
-        h=profile.h(r), h_dot=profile.h_dot(r), h_boundary=profile.h(rho),
+        h=profile.h(r), h_dot=profile.h_dot(r), h_ddot=profile.h_ddot(r),
+        h_boundary=profile.h(rho), h_dot_boundary=profile.h_dot(rho),
         ds=1.0 / ns, dtheta=2.0 * math.pi / ntheta,
     )
 
@@ -454,26 +441,16 @@ class _DiskFactor:
         return np.fft.irfft(modes, n=nt, axis=1).reshape(rhs.shape)
 
 
-def _is_disk(grid: Grid) -> bool:
-    """True when the stencil is the same on every ray of the grid.
-
-    The mapped coefficients depend on theta only through rho, rho' and
-    rho'', so they are constant when those are.  The rho' of a periodic rho
-    can only be constant at zero; asking for zero also keeps the stencil
-    even in theta, which the disk factorization relies on.
-    """
-    return (np.ptp(grid.rho) == 0.0 and not grid.drho.any()
-            and np.ptp(grid.d2rho) == 0.0)
-
-
 def solve(system: LinearSystem) -> DiscreteField:
     """Direct solve, verified to true relative residual <= ``SOLVER_TOL``.
 
     The system's matrix A, equilibrated by ``assemble``, is factored as it
     stands, once: on a disk by an FFT in theta and one tridiagonal system
     per mode (``_DiskFactor``), on any other domain by SuperLU under a
-    minimum-degree ordering of A^T + A.  One back-solve follows, checked
-    against ||b - A x|| / ||b||; it already reaches that residual's
+    minimum-degree ordering of A^T + A.  A disk is a domain with no nonzero
+    harmonic: rho is r0 and rho', rho'' are zero at every angle, so the
+    stencil is the same, and even, on every ray.  One back-solve follows,
+    checked against ||b - A x|| / ||b||; it already reaches that residual's
     rounding floor, which fixed-precision iterative refinement cannot go
     below (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
     ch. 12).  A residual above the bound raises ``SolverConvergenceError``
@@ -482,13 +459,14 @@ def solve(system: LinearSystem) -> DiscreteField:
     the factor and the row scale for ``DiscreteField.back_solve``.
     """
     A, b = system.matrix, system.rhs
+    domain = system.grid.domain
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return DiscreteField(values=np.zeros((system.grid.ns, system.grid.ntheta)),
                              grid=system.grid)
 
     try:
-        if _is_disk(system.grid):
+        if not any(domain.cos_coeffs + domain.sin_coeffs):
             lu = _DiskFactor(A, system.grid.ntheta)
         else:
             # Imported here: a ball never loads scipy.sparse.linalg.
@@ -666,28 +644,38 @@ def neumann_trace_jacobian(field: DiscreteField, parameters=None):
     """
     grid = field.grid
     eps = _COMPLEX_STEP
-    gradient = grid.domain.parameter_gradient(grid.theta)
+    r0 = grid.domain.r0
+    jet = np.stack([grid.rho, grid.drho, grid.d2rho])
+    # d(rho, rho', rho'')/dp, (3, P, ntheta): each is linear in the
+    # coefficients and r0 times its value at r0 = 1, so a_k contributes
+    # r0 k^d (sign, basis) of the cosine term.
+    k = np.arange(1, grid.domain.modes + 1, dtype=float)[:, None]
+    angles = k * grid.theta
+    gradient = np.stack([
+        np.concatenate([jet[d, None] / r0]
+                       + [r0 * sign * k ** d * basis(angles) for sign, basis in terms])
+        for d, terms in enumerate(_SERIES_DERIVATIVES)
+    ])
     if parameters is not None:
         gradient = gradient[:, parameters]
     d_rho = gradient[0]
     # rho, rho', rho'', each stepped along every parameter: (P, ntheta).
-    rho, drho, d2rho = (np.stack([grid.rho, grid.drho, grid.d2rho])[:, None, :]
-                        + 1j * eps * gradient)
+    rho, drho, d2rho = jet[:, None, :] + 1j * eps * gradient
     s = grid.s[:, None]
     d_r = s * d_rho[:, None, :]                 # (P, ns, ntheta)
-    h_ddot = grid.profile.h_ddot(grid.r)
     A_p, B_p, C_p, D_p = (c.imag / eps for c in _mapped_coefficients(
         s, rho[:, None, :], drho[:, None, :], d2rho[:, None, :],
-        grid.h + 1j * eps * grid.h_dot * d_r, grid.h_dot + 1j * eps * h_ddot * d_r))
+        grid.h + 1j * eps * grid.h_dot * d_r,
+        grid.h_dot + 1j * eps * grid.h_ddot * d_r))
     U = _padded(field.values, grid, dirichlet=True)
     u_s = _first_derivatives(U, grid)[0]
     u_ss, u_st, u_tt = _second_derivatives(U, grid)
     # M_p u - b_p with b = 2 h'(r) at the nodes.
     forcing = (A_p * u_ss + B_p * u_st + C_p * u_tt + D_p * u_s
-               - 2.0 * h_ddot * d_r)
+               - 2.0 * grid.h_ddot * d_r)
     d_u = -field.back_solve(forcing.reshape(len(forcing), -1).T).T
     d_u_s = _slope(d_u.reshape(forcing.shape), grid.ds)
-    d_h_b = grid.profile.h_dot(grid.rho) * d_rho
+    d_h_b = grid.h_dot_boundary * d_rho
     values, weights = _trace(boundary_radial_slope(field) + 1j * eps * d_u_s,
                              rho, drho, grid.h_boundary + 1j * eps * d_h_b,
                              grid.dtheta)

@@ -111,8 +111,7 @@ def _discrete_catalog(field: DiscreteField) -> FunctionalCatalog:
     u = field.values
     mu = -u
 
-    hh, hd = grid.h, grid.h_dot
-    hdd = grid.profile.h_ddot(grid.r)
+    hh, hd, hdd = grid.h, grid.h_dot, grid.h_ddot
 
     g = gradient_field(field)
     trace, weights = neumann_trace(field)

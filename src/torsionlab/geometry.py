@@ -332,10 +332,14 @@ def sphere_area(n: int) -> float:
 
     Gamma is only ever needed at integer and half-integer arguments, so it
     is evaluated by the recursion from Gamma(1) = 1 and Gamma(1/2) = sqrt(pi)
-    rather than through a special-function library.
+    rather than through a special-function library.  From n = 344 on
+    Gamma(n/2) >= 171! leaves the float range while the area does not, so
+    there the quotient is formed in logs.
     """
     _require_dimension(n)
-    return 2.0 * math.pi ** (n / 2.0) / _gamma_half_integer(n)
+    if n < 344:
+        return 2.0 * math.pi ** (n / 2.0) / _gamma_half_integer(n)
+    return 2.0 * math.exp(n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0))
 
 
 def _gamma_half_integer(m: int) -> float:

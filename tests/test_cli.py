@@ -310,6 +310,19 @@ class TestOtherCommands:
             assert err.splitlines() == [f"the catalog of the ball R0 = {float(R0)} in "
                                         f"dimension n = {n} leaves the float range"]
 
+    @pytest.mark.parametrize("n", [344, 345])
+    def test_radial_where_gamma_overflows(self, n, capsys):
+        # Gamma(n/2) leaves the float range, the catalog does not: its
+        # boundary measure is about 2.0e-111 and 5.8e-112.
+        assert main(["--command", "radial", "--geometry", "hyperbolic",
+                     "--R0", "1.5", "--n", str(n)]) == 0
+        catalog = {row[1]: float(row[3])
+                   for row in (line.split(",")
+                               for line in capsys.readouterr().out.split("\n"))
+                   if row[0] == "catalog"}
+        assert math.isfinite(catalog["bdry_measure"])
+        assert catalog["bdry_measure"] > 0.0
+
     def test_solve_rows(self, tmp_path, capsys):
         cfg = "command=solve\ngeometry=euclidean\nR0=1.0\nNs=8\nNtheta=16"
         rc = main([write_config(tmp_path, cfg)])

@@ -516,7 +516,9 @@ class TestDiskFactor:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", lu)
         for domain, want in ((StarDomain.ball(1.0), {"disk": 1, "splu": 0}),
                              (StarDomain(1.0, (0.0,), ()), {"disk": 2, "splu": 0}),
-                             (StarDomain(1.0, (0.0, 1e-9)), {"disk": 2, "splu": 1})):
+                             (StarDomain(1.0, (-0.0, -0.0), (-0.0,)),
+                              {"disk": 3, "splu": 0}),
+                             (StarDomain(1.0, (0.0, 1e-9)), {"disk": 3, "splu": 1})):
             solve_torsion(EUCLID, domain, 8, 16)
             assert calls == want, domain
 

@@ -317,6 +317,20 @@ class TestSphereArea:
         assert sphere_area(4) == pytest.approx(2 * math.pi ** 2, rel=1e-15)
         assert sphere_area(5) == pytest.approx(8 * math.pi ** 2 / 3, rel=1e-14)
 
+    def test_frozen_values(self):
+        # The recursion's values, which math.gamma would move at 211 n < 344.
+        assert [sphere_area(n) for n in (2, 3, 5, 342, 343)] == [
+            6.283185307179586, 12.566370614359174, 26.318945069571622,
+            2.837110372430244e-222, 3.848314693351258e-223]
+
+    def test_beyond_the_float_range_of_gamma(self):
+        # Gamma(n/2) overflows from n = 344 on; the area stays representable.
+        for n in range(344, 401):
+            area = sphere_area(n)
+            want = 2.0 * math.exp(n / 2 * math.log(math.pi) - math.lgamma(n / 2))
+            assert math.isfinite(area) and area > 0.0, n
+            assert area == pytest.approx(want, rel=1e-12, abs=0.0), n
+
     def test_rejects_low_dimension(self):
         with pytest.raises(ValueError):
             sphere_area(1)

@@ -66,8 +66,8 @@ def test_cli_digests_cover_every_run(monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))
     runpy.run_path(str(SCRIPTS / "cli_digests.py"), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 89
-    assert len({line.split()[0] for line in lines}) == 89
+    assert len(lines) == 94
+    assert len({line.split()[0] for line in lines}) == 94
     for line in lines:
         assert re.fullmatch(r"\S+ 0 [0-9a-f]{16}", line), line
     # The frozen bytes: the reference is headed by the builds it was made on,
