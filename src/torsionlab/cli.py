@@ -38,7 +38,7 @@ from .discretization import (
     neumann_trace,
 )
 from .functionals import compute_catalog, identity_report
-from .geometry import GEOMETRIES, make_profile
+from .geometry import GEOMETRIES, make_profile, sphere_area
 from .rigidity import (NoFeasibleShapeError, ball_family, offset_family,
                        optimize_shape, sweep)
 
@@ -234,18 +234,31 @@ class _Repeat:
         self.value, self.count = value, count
 
 
+class _Tile:
+    """One column part written ``count`` times in a row, as a column or a
+    part of one."""
+
+    __slots__ = ("part", "count")
+
+    def __init__(self, part, count: int):
+        self.part, self.count = part, count
+
+
 def _column_cells(name: str, column, cell) -> list:
     """Cells of one column; ``cell(kind)`` formats a value of type ``kind``.
 
     A 1-d float64 array is formatted once per distinct bit pattern, so 0.0
     and -0.0 stay apart, and a 1-d integer array once per distinct value;
     an array of any other dtype or shape raises ``TypeError``.  A
-    ``_Repeat`` is formatted once, and a tuple is the concatenation of its
-    parts.  A list is formatted cell by cell, with one formatter per run of
-    one cell type.
+    ``_Repeat`` is formatted once, and so is the part of a ``_Tile``, whose
+    cells are then repeated; a tuple is the concatenation of its parts.  A
+    list is formatted cell by cell, with one formatter per run of one cell
+    type.
     """
     if isinstance(column, _Repeat):
         return [cell(type(column.value))(column.value)] * column.count
+    if isinstance(column, _Tile):
+        return _column_cells(name, column.part, cell) * column.count
     if isinstance(column, tuple):
         cells = []
         for part in column:
@@ -276,9 +289,10 @@ def _emit(table: dict, cfg: RunConfig) -> None:
     """Write a table, column name -> column, as CSV or JSON.
 
     Every column has one cell per row.  A column is a list of cells, a 1-d
-    float64 or integer array, a ``_Repeat`` of one cell, or a tuple of such
-    parts written one after another.  Both formats are put together column
-    by column; JSON has the layout of ``json.dumps(rows, indent=2)``.
+    float64 or integer array, a ``_Repeat`` of one cell, a ``_Tile`` of one
+    part, or a tuple of such parts written one after another.  Both formats
+    are put together column by column; JSON has the layout of
+    ``json.dumps(rows, indent=2)``.
     """
     width = len(table)
     for k, (name, column) in enumerate(table.items()):
@@ -321,7 +335,11 @@ def _run_radial(cfg: RunConfig) -> int:
     samples = np.stack([sol.u(radii), sol.u_r(radii)], axis=1).ravel().tolist()
     # h^(n-1) or, at the quadrature node nearest the pole, (n-1)/h leaves the
     # float range on some balls: refuse them, not write non-finite cells.
+    # So does |S^(n-1)|, which scales every integral: subnormal from n = 439,
+    # it would write lost digits, and from n = 456, zeros.
     try:
+        if sphere_area(cfg.n) < sys.float_info.min:
+            raise ArithmeticError
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             catalog = compute_catalog(sol).as_dict()
         if not all(map(math.isfinite, catalog.values())):
@@ -344,8 +362,8 @@ def _run_solve(cfg: RunConfig) -> int:
     # Node rows ring by ring, then one Neumann row per boundary angle.
     _emit({"record": (_Repeat("node", grid.size), _Repeat("neumann", nt)),
            "j": (np.repeat(np.arange(ns), nt), _Repeat(None, nt)),
-           "i": np.tile(np.arange(nt), ns + 1),
-           "theta": np.tile(grid.theta, ns + 1),
+           "i": _Tile(np.arange(nt), ns + 1),
+           "theta": _Tile(grid.theta, ns + 1),
            "r": np.concatenate([grid.r.ravel(), grid.rho]),
            "value": np.concatenate([field_.values.ravel(), values]),
            "weight": (_Repeat(None, grid.size), weights)}, cfg)

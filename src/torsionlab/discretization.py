@@ -17,18 +17,20 @@ r = s rho(theta).  Design points:
   * the Dirichlet ring s = 1 is eliminated by a ghost value at s = 1 + ds/2
     extrapolated quadratically through u(1) = 0, which keeps second order
     up to the boundary;
-  * assembly fills nine row-order slots of arm weights and columns per
-    node, (Ns, Ntheta, 3, 3) arrays written through their (3, 3, Ns,
-    Ntheta) views, folds the ghost into the last ring, scales each node's
-    slots to unit max-norm and points the pole arms at antipodal columns,
-    so the slots are the rows of the equilibrated CSR matrix in place.
+  * assembly fills nine slots of arm weights per node on each distinct
+    ray, an (Ns, rays, 3, 3) array written through its (3, 3, Ns, rays)
+    view, folds the ghost into the last ring and scales each node's slots
+    to unit max-norm; a disk has one distinct ray, every other domain
+    Ntheta of them.
 
 The resulting system is nonsymmetric.  On a disk its coefficients do not
 depend on theta, so an FFT in theta splits it into one tridiagonal system in
 s per Fourier mode (the fast disk solver of Swarztrauber & Sweet, SIAM
-J. Numer. Anal. 10, 1973); every other domain is factored by one sparse LU.
-Either factor is used for one back-solve, verified by its scaled residual,
-and is kept on the solution for the back-solves of its shape derivatives.
+J. Numer. Anal. 10, 1973), read off the one ray with no sparse matrix;
+every other domain is packed into a sparse matrix and factored by one
+sparse LU.  Either factor is used for one back-solve, verified by its
+scaled residual, and is kept on the solution for the back-solves of its
+shape derivatives.
 """
 
 from __future__ import annotations
@@ -238,15 +240,28 @@ def build_grid(profile: WarpingProfile, domain: StarDomain, ns: int,
 class LinearSystem:
     """The row-equilibrated system of the operator M and the forcing 2 h'.
 
-    ``matrix`` is diag(row_scale) M and ``rhs`` is diag(row_scale) 2 h' at
-    the nodes, flattened; every row of ``matrix`` has unit max-norm, to
-    rounding.
+    ``weight_slots[j, i, 1 + dj, 1 + di]`` is the weight of the arm from
+    node (j, i) to (j + dj, i + di) in diag(row_scale) M, on the domain's
+    distinct rays: shape (ns, 1, 3, 3) on a disk, whose stencil is the same
+    on every ray, and (ns, ntheta, 3, 3) otherwise.  Every node's slots have
+    unit max-norm, to rounding.  ``rhs`` is diag(row_scale) 2 h' at the
+    nodes, flattened.
     """
 
-    matrix: object  # scipy.sparse.csr_matrix
+    weight_slots: np.ndarray
     rhs: np.ndarray
     row_scale: np.ndarray  # (size,) 1 / max |w| of each row of M
     grid: Grid
+
+    @property
+    def matrix(self):
+        """diag(row_scale) M as a canonical ``scipy.sparse.csr_matrix``,
+        packed on each access."""
+        # A copy: pruning works in place, and a star's slots are its data.
+        matrix = _slot_matrix(self).copy()
+        matrix.eliminate_zeros()
+        matrix.sort_indices()
+        return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,36 +325,36 @@ def _mapped_coefficients(s, rho, drho, d2rho, hh, hd):
 
 
 def assemble(grid: Grid) -> LinearSystem:
-    """Sparse operator and right-hand side for Lap u = 2 h_dot on ``grid.domain``.
+    """Stencil slots and right-hand side for Lap u = 2 h_dot on ``grid.domain``.
 
-    The arm from node (j, i) to (j + dj, i + di) has the weight and the flat
-    column at index [j, i, 1 + dj, 1 + di] of ``weight_slots`` and
-    ``col_slots``, which are filled through their transposed views
-    ``weights`` and ``cols`` at [1 + dj, 1 + di, j, i].  On the last ring
-    each outer arm w is folded through the quadratic Dirichlet ghost at
-    s = 1 + ds/2, u_ghost = u_{last-1}/3 - 2 u_last: it adds -2 w to the
-    arm with dj = 0, w/3 to the arm with dj = -1, and becomes 0.  On every
-    grid ``_require_grid_size`` admits, the nine slots of node (j, i) become
-    CSR row j * ntheta + i as they lie in memory, less their exact zeros.
-    Their columns are distinct except on the last ring, where the three
-    folded outer arms repeat the dj = 0 columns (6 distinct of 9); those arms
-    weigh exactly zero, so ``eliminate_zeros`` drops them before
-    ``sort_indices`` could meet a duplicate.
+    The arm from node (j, i) to (j + dj, i + di) has its weight at index
+    [j, i, 1 + dj, 1 + di] of ``weight_slots``, filled through the
+    transposed view ``weights`` at [1 + dj, 1 + di, j, i].  The stencil is
+    evaluated on the distinct rays only: the first one when the domain has
+    no nonzero harmonic (rho is r0 and rho', rho'' are zero at every angle,
+    so every ray is the same), all ntheta otherwise.  On the last ring each
+    outer arm w is folded through the quadratic Dirichlet ghost at
+    s = 1 + ds/2, u_ghost = u_{last-1}/3 - 2 u_last: it adds -2 w to the arm
+    with dj = 0, w/3 to the arm with dj = -1, and becomes 0.  The arms with
+    dj = -1 from the first ring cross the pole to the antipodal column.
 
     Stencil weights near the pole exceed boundary weights by several orders
     of magnitude (the 1/h^2 metric factor), which would push the rounding
     floor of the residual b - A x above tight tolerances, so each node's
-    slots are scaled to unit max-norm before packing, and the forcing with
-    them.  A scaled weight that is not finite (the metric over- or
-    underflows at radii below about 1e-153) raises ``SolverConvergenceError``.
+    slots are scaled to unit max-norm, and the forcing with them.  A scaled
+    weight that is not finite (the metric over- or underflows at radii
+    below about 1e-153) raises ``SolverConvergenceError``.
     """
     ns, nt = grid.ns, grid.ntheta
     ds, dt = grid.ds, grid.dtheta
-    weight_slots = np.empty((ns, nt, 3, 3))
+    domain = grid.domain
+    rays = nt if any(domain.cos_coeffs + domain.sin_coeffs) else 1
+    weight_slots = np.empty((ns, rays, 3, 3))
     weights = weight_slots.transpose(2, 3, 0, 1)
     with np.errstate(all="ignore"):
-        A, B, C, D = _mapped_coefficients(grid.s[:, None], grid.rho, grid.drho,
-                                          grid.d2rho, grid.h, grid.h_dot)
+        A, B, C, D = _mapped_coefficients(
+            grid.s[:, None], grid.rho[:rays], grid.drho[:rays], grid.d2rho[:rays],
+            grid.h[:, :rays], grid.h_dot[:, :rays])
         corner = B / (4.0 * ds * dt)
         weights[1, 1] = -2.0 * A / ds ** 2 - 2.0 * C / dt ** 2
         weights[2, 1] = A / ds ** 2 + D / (2.0 * ds)
@@ -354,7 +369,7 @@ def assemble(grid: Grid) -> LinearSystem:
         # Max |w| plane by plane: a reduction over the short (3, 3) axes is
         # several times slower.  Every row holds its nonzero centre weight,
         # so no scale is infinite unless the metric is singular.
-        row_max = np.zeros((ns, nt))
+        row_max = np.zeros((ns, rays))
         for arms in weights:
             for plane in arms:
                 np.maximum(row_max, np.abs(plane), out=row_max)
@@ -363,13 +378,30 @@ def assemble(grid: Grid) -> LinearSystem:
     if not np.isfinite(weight_slots).all():
         raise SolverConvergenceError(
             "singular metric: the stencil weights are not finite", residual=math.inf)
+    rhs = (row_scale * (2 * grid.h_dot)).ravel()
+    return LinearSystem(weight_slots=weight_slots, rhs=rhs,
+                        row_scale=np.broadcast_to(row_scale, (ns, nt)).ravel(),
+                        grid=grid)
 
+
+def _slot_matrix(system: LinearSystem):
+    """The slots as a ``scipy.sparse.csr_matrix``, one stored arm per slot.
+
+    Node (j, i)'s nine slots become row j * ntheta + i as they lie: the
+    pole arms point at antipodal columns, and the three folded outer arms
+    of the last ring, which weigh exactly zero, at the dj = 0 columns.
+    Callers prune the exact zeros, duplicates among them, since SuperLU's
+    ordering reads the stored pattern and must see the true stencil.  A
+    star's slots are the data in place; a disk's ray is copied to every ray.
+    """
+    grid = system.grid
+    ns, nt, size = grid.ns, grid.ntheta, grid.size
     step = np.arange(-1, 2)
     ring = np.arange(ns)[:, None] + step[:, None, None]
     angle = (np.arange(nt) + step[:, None]) % nt
-    # CSR stores int32 indices while its 9 * size slots fit in int32;
-    # columns made in the dtype it keeps are taken without a copy.
-    index = np.int32 if 9 * grid.size <= np.iinfo(np.int32).max else np.int64
+    # Sparse matrices store int32 indices while the 9 * size slots fit in
+    # int32; columns made in the dtype they keep are taken without a copy.
+    index = np.int32 if 9 * size <= np.iinfo(np.int32).max else np.int64
     col_slots = np.empty((ns, nt, 3, 3), dtype=index)
     cols = col_slots.transpose(2, 3, 0, 1)
     np.add(ring[:, None] * nt, angle[None, :, None, :], out=cols)
@@ -377,20 +409,39 @@ def assemble(grid: Grid) -> LinearSystem:
     cols[0, :, 0] = (angle + nt // 2) % nt
     # The folded outer arms weigh zero; any column inside the grid will do.
     cols[2, :, -1] = cols[1, :, -1]
-
-    size = grid.size
-    # Imported here: scipy.sparse is most of a command's start-up; radial never assembles.
+    data = np.broadcast_to(system.weight_slots, (ns, nt, 3, 3)).reshape(-1)
+    # Imported here: scipy.sparse is most of a command's start-up, and no
+    # disk solve packs a matrix.
     import scipy.sparse as sp
-    matrix = sp.csr_matrix(
-        (weight_slots.ravel(), col_slots.ravel(), np.arange(0, 9 * size + 1, 9)),
-        shape=(size, size),
-    )
-    # SuperLU's ordering reads the stored pattern: keep it the true stencil.
-    matrix.eliminate_zeros()
-    matrix.sort_indices()
-    rhs = (row_scale * (2 * grid.h_dot)).ravel()
-    return LinearSystem(matrix=matrix, rhs=rhs, row_scale=row_scale.ravel(),
-                        grid=grid)
+    return sp.csr_matrix((data, col_slots.ravel(), np.arange(0, 9 * size + 1, 9)),
+                         shape=(size, size))
+
+
+def _slot_product(system: LinearSystem, x: np.ndarray) -> np.ndarray:
+    """diag(row_scale) M x for a flat x, applied from the slots.
+
+    x is padded by the pole row, the ghost row and one wrapped column on
+    each side, so that each arm multiplies one shifted slice of it.
+    """
+    grid = system.grid
+    ns, nt = grid.ns, grid.ntheta
+    half = nt // 2
+    U = np.empty((ns + 2, nt + 2))
+    U[1:-1, 1:-1] = x.reshape(ns, nt)
+    # Across the pole: (s_1 - ds, theta) is (s_1, theta + pi).
+    U[0, 1:half + 1] = U[1, half + 1:-1]
+    U[0, half + 1:-1] = U[1, 1:half + 1]
+    # The ghost is folded into the last ring: its arms weigh zero.
+    U[-1] = 0.0
+    U[:, 0] = U[:, -2]
+    U[:, -1] = U[:, 1]
+    arms = system.weight_slots.transpose(2, 3, 0, 1)
+    product = arms[0, 0] * U[:ns, :nt]
+    for dj in range(3):
+        for di in range(3):
+            if dj or di:
+                product += arms[dj, di] * U[dj:dj + ns, di:di + nt]
+    return product.ravel()
 
 
 class _DiskFactor:
@@ -399,21 +450,27 @@ class _DiskFactor:
     On a disk every ring of rows is circulant in theta, so Fourier mode k
     of the unknowns only couples to mode k of the neighbouring rings: the
     system splits into one real tridiagonal system in s per mode.  Its
-    entries are the rfft of the ring's first row, read from the assembled
-    matrix, so the pole fold (-1)^k and the Dirichlet ghost come with it.
-    All modes are stacked into one block tridiagonal matrix, factored by a
-    single ``dgttrf``; ``solve`` mirrors SuperLU's, for one right-hand side
-    of shape (size,) or m as the columns of a (size, m) array, and runs one
-    ``dgttrs`` with the real and imaginary parts as 2m right-hand sides.
+    entries are the rfft of the ring's stencil, laid out from ``ray``, the
+    (ns, 3, 3) slots of one ray, with the pole arms moved to the antipodal
+    angles of the first ring, so the pole fold (-1)^k and the Dirichlet
+    ghost come with it.  All modes are stacked into one block tridiagonal
+    matrix, factored by a single ``dgttrf``; ``solve`` mirrors SuperLU's,
+    for one right-hand side of shape (size,) or m as the columns of a
+    (size, m) array, and runs one ``dgttrs`` with the real and imaginary
+    parts as 2m right-hand sides.
     """
 
-    def __init__(self, matrix, ntheta: int):
-        ns = matrix.shape[0] // ntheta
-        first = matrix[::ntheta].tocoo()
-        # Ring offset 0, 1, 2 for the rings j - 1, j, j + 1 of row ring j.
-        offset = first.col // ntheta - first.row + 1
+    def __init__(self, ray: np.ndarray, ntheta: int):
+        ns = len(ray)
+        # stencil[j, 1 + dj, di mod ntheta] weighs ring j + dj at angle
+        # offset di.  Added onto zeros, so a -0.0 arm (a disk's corners)
+        # lands as 0.0, as an arm that is not there.
         stencil = np.zeros((ns, 3, ntheta))
-        stencil[first.row, offset, first.col % ntheta] = first.data
+        arms = np.arange(-1, 2)
+        stencil[:, :, arms] += ray
+        # Across the pole: (s_1 - ds, theta) is (s_1, theta + pi).
+        stencil[0, 1, arms + ntheta // 2] += stencil[0, 0, arms]
+        stencil[0, 0] = 0.0
         # The stencil is even in theta, so each mode's symbol is real.
         symbol = np.fft.rfft(stencil, axis=2).real.transpose(1, 2, 0)
         # Row k * ns + j of the stack is ring j of mode k; ring 0 has no
@@ -444,47 +501,49 @@ class _DiskFactor:
 def solve(system: LinearSystem) -> DiscreteField:
     """Direct solve, verified to true relative residual <= ``SOLVER_TOL``.
 
-    The system's matrix A, equilibrated by ``assemble``, is factored as it
-    stands, once: on a disk by an FFT in theta and one tridiagonal system
-    per mode (``_DiskFactor``), on any other domain by SuperLU under a
-    minimum-degree ordering of A^T + A.  A disk is a domain with no nonzero
-    harmonic: rho is r0 and rho', rho'' are zero at every angle, so the
-    stencil is the same, and even, on every ray.  One back-solve follows,
-    checked against ||b - A x|| / ||b||; it already reaches that residual's
-    rounding floor, which fixed-precision iterative refinement cannot go
-    below (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    ch. 12).  A residual above the bound raises ``SolverConvergenceError``
-    carrying the residual reached (a NaN residual counts as above), and a
-    singular factor raises it with an infinite residual.  The field keeps
-    the factor and the row scale for ``DiscreteField.back_solve``.
+    The system A, equilibrated by ``assemble``, is factored as it stands,
+    once: when its slots hold one ray (a disk) by an FFT in theta and one
+    tridiagonal system per mode (``_DiskFactor``), otherwise by SuperLU
+    under a minimum-degree ordering of A^T + A, on A packed into CSC.  One
+    back-solve follows, checked against ||b - A x|| / ||b|| with A x
+    applied from the slots; it already reaches that residual's rounding
+    floor, which fixed-precision iterative refinement cannot go below
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 12).
+    A residual above the bound raises ``SolverConvergenceError`` carrying
+    the residual reached (a NaN residual counts as above), and a singular
+    factor raises it with an infinite residual.  The field keeps the factor
+    and the row scale for ``DiscreteField.back_solve``.
     """
-    A, b = system.matrix, system.rhs
-    domain = system.grid.domain
+    grid = system.grid
+    b = system.rhs
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return DiscreteField(values=np.zeros((system.grid.ns, system.grid.ntheta)),
-                             grid=system.grid)
+        return DiscreteField(values=np.zeros((grid.ns, grid.ntheta)), grid=grid)
 
+    slots = system.weight_slots
     try:
-        if not any(domain.cos_coeffs + domain.sin_coeffs):
-            lu = _DiskFactor(A, system.grid.ntheta)
+        if slots.shape[1] == 1:
+            lu = _DiskFactor(slots[:, 0], grid.ntheta)
         else:
             # Imported here: a ball never loads scipy.sparse.linalg.
             from scipy.sparse.linalg import splu
-            lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            # Packed straight into CSC: tocsc orders each column's rows.
+            A = _slot_matrix(system).tocsc()
+            A.eliminate_zeros()
+            A.sort_indices()
+            lu = splu(A, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SolverConvergenceError(str(exc), residual=math.inf) from None
     x = lu.solve(b)
-    res = float(np.linalg.norm(b - A @ x)) / b_norm
+    res = float(np.linalg.norm(b - _slot_product(system, x))) / b_norm
     if not res <= SOLVER_TOL:
         raise SolverConvergenceError(
             f"LU solve reached relative residual {res:.3e}, "
             f"above the bound {SOLVER_TOL:.1e}",
             residual=res,
         )
-    return DiscreteField(values=x.reshape(system.grid.ns, system.grid.ntheta),
-                         grid=system.grid, residual=res, factor=lu,
-                         row_scale=system.row_scale)
+    return DiscreteField(values=x.reshape(grid.ns, grid.ntheta), grid=grid,
+                         residual=res, factor=lu, row_scale=system.row_scale)
 
 
 def solve_torsion(profile: WarpingProfile, domain: StarDomain, ns: int,

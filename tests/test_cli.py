@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,25 @@ class TestOtherCommands:
         assert math.isfinite(catalog["bdry_measure"])
         assert catalog["bdry_measure"] > 0.0
 
+    @pytest.mark.parametrize("n,code", [(438, 0), (439, 2), (455, 2), (456, 2), (500, 2)])
+    def test_radial_where_sphere_area_underflows(self, n, code, capsys):
+        # |S^(n-1)| scales every integral; subnormal from n = 439 and 0 from
+        # n = 456, it would write lost digits or zeros with exit 0.
+        rc = main(["--command", "radial", "--geometry", "hyperbolic",
+                   "--R0", "1.5", "--n", str(n)])
+        out, err = capsys.readouterr()
+        assert rc == code
+        if code == 0:
+            catalog = {row[1]: float(row[3])
+                       for row in (line.split(",") for line in out.split("\n"))
+                       if row[0] == "catalog"}
+            assert err == "" and len(catalog) == 23
+            assert catalog["bdry_measure"] > sys.float_info.min
+        else:
+            assert out == ""
+            assert err.splitlines() == [f"the catalog of the ball R0 = 1.5 in "
+                                        f"dimension n = {n} leaves the float range"]
+
     def test_solve_rows(self, tmp_path, capsys):
         cfg = "command=solve\ngeometry=euclidean\nR0=1.0\nNs=8\nNtheta=16"
         rc = main([write_config(tmp_path, cfg)])
@@ -531,7 +551,10 @@ def reference_payload(dict_rows, columns, fmt):
 
 
 def column_parts(column):
-    """The parts of a column: itself, or the parts of each part of a tuple."""
+    """The parts of a column: itself, or the parts of each part of a tuple.
+
+    A ``_Tile`` is one part.
+    """
     if isinstance(column, tuple):
         return [leaf for part in column for leaf in column_parts(part)]
     return [column]
@@ -543,13 +566,15 @@ def column_values(column):
     for part in column_parts(column):
         if isinstance(part, cli._Repeat):
             cells += [part.value] * part.count
+        elif isinstance(part, cli._Tile):
+            cells += column_values(part.part) * part.count
         else:
             cells += part.tolist() if isinstance(part, np.ndarray) else part
     return cells
 
 
 def table_rows(table):
-    """One dict per row of a column table."""
+    """One dict per row of a column table; a ``_Tile``'s rows repeat its part's."""
     columns = list(map(column_values, table.values()))
     assert len({len(c) for c in columns}) == 1
     return [dict(zip(table, row)) for row in zip(*columns)]
@@ -598,6 +623,8 @@ def capture_tables(monkeypatch):
 
 
 def is_part(part):
+    if isinstance(part, cli._Tile):
+        return is_column(part.part)
     return (isinstance(part, (list, cli._Repeat))
             or (isinstance(part, np.ndarray) and part.ndim == 1
                 and (part.dtype == np.float64 or part.dtype.kind in "iu")))
@@ -625,10 +652,14 @@ class TestWriterBytes:
         want = reference_payload(reference_solve_rows(cfg), columns, fmt)
         assert read_out(out) == want
         # The grid's columns reach the writer as arrays and repeats, not as
-        # row tuples or per-cell lists.
+        # row tuples or per-cell lists; i and theta as one ring repeated.
         (table,) = emitted
         assert list(table) == columns
-        assert all(isinstance(table[c], np.ndarray) for c in ("theta", "r", "value"))
+        assert all(isinstance(table[c], np.ndarray) for c in ("r", "value"))
+        for c in ("i", "theta"):
+            assert isinstance(table[c], cli._Tile), c
+            assert isinstance(table[c].part, np.ndarray), c
+            assert table[c].count == cfg.Ns + 1, c
         assert all(map(is_column, table.values()))
         assert not any(isinstance(part, list) for column in table.values()
                        for part in column_parts(column))
@@ -696,13 +727,15 @@ class TestWriterBytes:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_part_columns_match_reference(self, tmp_path, fmt):
         # Integer arrays of several dtypes, repeats of cells that compare
-        # equal but print differently, and tuples of parts, empty ones too.
+        # equal but print differently, a tiled part, and tuples of parts,
+        # empty ones too.
         table = {"ints": np.array([10 ** 17, -7, 0, 10 ** 17, -2 ** 63, 2 ** 63 - 1]),
                  "small": np.array([1, -1, 1, 0, 127, -128], dtype=np.int8),
                  "unsigned": np.array([0, 2 ** 64 - 1, 5, 5, 0, 1], dtype=np.uint64),
                  "repeat": cli._Repeat(-0.0, 6),
                  "parts": (cli._Repeat(1, 2), cli._Repeat(True, 1), cli._Repeat(1.0, 1),
                            (), cli._Repeat("x,y", 0), np.array([2, 3])),
+                 "tile": cli._Tile((np.array([-0.0, 1e17]), [10 ** 17]), 2),
                  "nested": ((cli._Repeat(None, 2), np.array([-0.0, math.nan])),
                             [1e17, 10 ** 17])}
         want = reference_payload(table_rows(table), list(table), fmt)
@@ -758,7 +791,14 @@ INT_DTYPES = [np.int64, np.int32, np.uint8, np.uint64]
 
 def column_part(draw, rows):
     """One column part of ``rows`` cells, of a kind the writer takes."""
-    kind = draw(st.sampled_from(["floats", "ints", "repeat", "list"]))
+    kind = draw(st.sampled_from(["floats", "ints", "repeat", "list", "tile"]))
+    if kind == "tile":
+        # A part of rows / count cells written count times; with no rows,
+        # a part of any length written no times.
+        count = draw(st.sampled_from([d for d in range(1, rows + 1) if rows % d == 0]
+                                     or [0]))
+        part = column_part(draw, rows // count if count else draw(st.integers(0, 3)))
+        return cli._Tile(part, count)
     if kind == "floats":
         pool = st.sampled_from(FLOAT_POOL)
         return np.array(draw(st.lists(pool, min_size=rows, max_size=rows)),

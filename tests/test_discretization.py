@@ -283,6 +283,31 @@ class TestAssemble:
                 assert got.has_canonical_format, case
                 assert np.all(got.data != 0.0), case
 
+    @pytest.mark.parametrize("ns,nt", [(8, 16), (64, 128)])
+    def test_slot_product_matches_matrix(self, ns, nt):
+        # The residual's product, applied from the slots through the pole
+        # and ghost rows, is the packed matrix's product to rounding on
+        # every ring, the pole ring (arms crossing to the antipodal column)
+        # and the last ring (outer arms folded into it) included.
+        x = np.random.default_rng(3).standard_normal(ns * nt)
+        for profile in (EUCLID, SPHERE, HYPER):
+            for domain in (StarDomain.ball(1.0), FLOWER, offset_disk(1.0, 0.2)):
+                system = assemble(build_grid(profile, domain, ns, nt))
+                got = discretization._slot_product(system, x)
+                want = system.matrix @ x
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(x)), \
+                    (profile.kind, domain.modes)
+
+    def test_disk_system_holds_one_ray(self):
+        # Every ray of a disk has the same stencil, so assembly evaluates
+        # one; the row scale and the forcing still cover every node.
+        for domain, rays in ((StarDomain.ball(1.0), 1),
+                             (StarDomain(1.0, (0.0, -0.0), (-0.0,)), 1),
+                             (FLOWER, 48)):
+            system = assemble(build_grid(SPHERE, domain, 16, 48))
+            assert system.weight_slots.shape == (16, rays, 3, 3)
+            assert system.rhs.shape == system.row_scale.shape == (16 * 48,)
+
     def test_rejects_domain_reaching_profile_bound(self):
         big = StarDomain.ball(2.0)
         with pytest.raises(ValueError, match="reaches the profile bound"):
@@ -463,6 +488,39 @@ class TestSolve:
             tracemalloc.stop()
         assert peak <= 1.5 * nbytes
 
+    def test_ball_solve_builds_no_sparse_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a disk solve built a sparse matrix")
+
+        for name in ("csr_matrix", "csc_matrix", "coo_matrix",
+                     "csr_array", "csc_array", "coo_array"):
+            monkeypatch.setattr(sp, name, refuse)
+        field = solve_torsion(SPHERE, StarDomain.ball(math.pi / 4), 64, 128)
+        assert field.residual <= 1e-10
+        with pytest.raises(AssertionError):
+            solve_torsion(SPHERE, FLOWER, 16, 32)
+
+    def test_star_solve_factors_the_packed_csc(self, monkeypatch):
+        # SuperLU gets the slots packed straight into CSC, bit for bit the
+        # CSC of the canonical CSR matrix.
+        factored = []
+        exact_splu = scipy.sparse.linalg.splu
+
+        def lu(A, **kw):
+            factored.append(A)
+            return exact_splu(A, **kw)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lu)
+        system = assemble(build_grid(SPHERE, FLOWER, 32, 64))
+        solve(system)
+        (got,) = factored
+        want = system.matrix.tocsc()
+        assert got.format == "csc"
+        assert got.has_canonical_format
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).dtype == getattr(want, part).dtype, part
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
     def test_theta_translation_equivariance(self):
         k, nt = 12, 96
         phase = 2.0 * math.pi * k / nt
@@ -481,7 +539,7 @@ class TestDiskFactor:
             ball = StarDomain.ball(R)
             system = assemble(build_grid(profile, ball, ns, nt))
             A, b = system.matrix, system.rhs
-            got = discretization._DiskFactor(A, nt).solve(b)
+            got = discretization._DiskFactor(system.weight_slots[:, 0], nt).solve(b)
             lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
             want = lu.solve(b)
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), profile.kind
